@@ -949,7 +949,66 @@ fn bench_serve(_c: &mut Criterion) {
         smoke,
         &mut records,
     );
+    serve_predict_rows(smoke, &mut records);
     write_serve_json(&records);
+}
+
+/// The serving predict, before and after packing once: a worker's
+/// `predict_with_into` (packing the centers and weights on every call)
+/// against the engine's `PackedModel::predict_into` (packed panels), at 1,
+/// 4, 64 and cap rows on the 4800×440×144 f64 shape `serve-open` serves,
+/// under the plan's worker thread budget; plus the one-time pack cost.
+/// Each time is the minimum over its samples, like the other ratio rows.
+fn serve_predict_rows(smoke: bool, records: &mut Vec<String>) {
+    use ep2_core::PredictBuffers;
+    let (n, d, l) = if smoke {
+        (300, 12, 3)
+    } else {
+        (4_800, 440, 144)
+    };
+    let kernel: Arc<dyn Kernel> = Arc::new(GaussianKernel::new(8.0));
+    let model =
+        KernelModel::from_weights(kernel, lcg_matrix(n, d, 0x5e21), lcg_matrix(n, l, 0x77aa));
+    let plan = ep2_serve::ServePlan::plan(
+        n,
+        d,
+        l,
+        &ResourceSpec::scaled_virtual_gpu(),
+        ep2_device::Precision::F64,
+        &ep2_serve::ServeConfig::default(),
+    );
+    let pack_once_ms = time_min(if smoke { 1 } else { 5 }, || model.pack(&plan.opts)) * 1e3;
+    let packed = model.pack(&plan.opts);
+    let cap = plan.batch_rows;
+    let mut sizes = vec![1, 4, 64, cap];
+    sizes.retain(|&r| r <= cap);
+    sizes.dedup();
+    ep2_runtime::with_budget(plan.worker_threads, || {
+        for rows in sizes {
+            let x = lcg_matrix(rows, d, 0x3c3c);
+            let (mut b1, mut b2) = (PredictBuffers::new(), PredictBuffers::new());
+            let (mut o1, mut o2) = (Matrix::zeros(rows, l), Matrix::zeros(rows, l));
+            let reps = if smoke { 2 } else { (256 / rows).clamp(5, 40) };
+            let per_call_ms = time_min(reps, || {
+                model.predict_with_into(&x, &plan.opts, &mut b1, &mut o1)
+            }) * 1e3;
+            let packed_ms = time_min(reps, || packed.predict_into(&x, &mut b2, &mut o2)) * 1e3;
+            assert_eq!(o1.as_slice(), o2.as_slice(), "packed predict differs");
+            let speedup = per_call_ms / packed_ms.max(1e-9);
+            println!(
+                "bench serve_predict_rows/{n}x{d}x{l} f64 rows={rows}  per-call {per_call_ms:.3} ms  \
+                 packed {packed_ms:.3} ms  speedup {speedup:.2}x  (pack once {pack_once_ms:.1} ms)"
+            );
+            records.push(format!(
+                "    {{\"op\": \"serve_predict_rows\", \"precision\": \"f64\", \
+                 \"n\": {n}, \"d\": {d}, \"l\": {l}, \"rows\": {rows}, \
+                 \"threads\": {}, \"per_call_ms\": {per_call_ms:.4}, \
+                 \"packed_ms\": {packed_ms:.4}, \"speedup\": {speedup:.3}, \
+                 \"pack_once_ms\": {pack_once_ms:.3}}}",
+                plan.worker_threads
+            ));
+        }
+    });
 }
 
 #[allow(clippy::too_many_arguments)]

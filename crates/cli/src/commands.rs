@@ -459,8 +459,9 @@ fn serve_typed<S: ep2_linalg::Scalar>(
         plan.worker_threads,
     );
     eprintln!(
-        "memory: {:.3e} resident + {:.3e}/worker of {:.3e} slots",
+        "memory: {:.3e} resident + {:.3e} packed + {:.3e}/worker of {:.3e} slots",
         plan.resident_slots,
+        plan.packed_slots,
         plan.per_worker_slots,
         ledger.budget()
     );

@@ -1,11 +1,13 @@
 //! The kernel predictor `f(x) = Σ_i α_i k(x_i, x)`, generic over the
 //! numeric precision `S`.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ep2_device::Precision;
 use ep2_kernels::{matrix as kmat, Kernel, KernelKind};
-use ep2_linalg::{blas, Matrix, Scalar};
+use ep2_linalg::gemm::{self, PackedB, View};
+use ep2_linalg::{blas, Bf16, Matrix, Scalar};
 
 /// Default row-block size for prediction: the transient kernel panel stays
 /// below ~`1024 x n` elements unless the caller plans otherwise.
@@ -147,6 +149,38 @@ impl PredictOptions {
         let tile = self.col_tile.unwrap_or(n).min(n.max(1));
         (self.block_rows * (tile + d + l) + n) as f64 * precision.slot_factor()
     }
+
+    /// Slots the packed panels of an `n`-center, `d`-feature, `l`-output
+    /// model packed under these options ([`KernelModel::pack`]) hold, for a
+    /// model stored at `precision`. Panels are at the GEMM's compute width,
+    /// so a bf16 model's panels are charged at f32 width: exactly
+    /// [`PackedModel::slots`] of the packed model.
+    pub fn packed_slots(&self, n: usize, d: usize, l: usize, precision: Precision) -> f64 {
+        match precision {
+            Precision::F64 => self.packed_slots_as::<f64>(n, d, l),
+            Precision::F32 | Precision::Mixed => self.packed_slots_as::<f32>(n, d, l),
+            Precision::Bf16 => self.packed_slots_as::<Bf16>(n, d, l),
+        }
+    }
+
+    fn packed_slots_as<S: Scalar>(&self, n: usize, d: usize, l: usize) -> f64 {
+        let len: usize = column_tiles(n, self)
+            .map(|t| PackedB::<S>::len_for(d, t.len()) + PackedB::<S>::len_for(t.len(), l))
+            .sum();
+        compute_slots::<S>(len)
+    }
+}
+
+/// The center-side column tiles `opts` splits `n` centers into, in order.
+fn column_tiles(n: usize, opts: &PredictOptions) -> impl Iterator<Item = Range<usize>> {
+    let tile = opts.col_tile.unwrap_or(n).min(n).max(1);
+    (0..n).step_by(tile).map(move |j0| j0..n.min(j0 + tile))
+}
+
+/// Ledger slots (4-byte units) of `len` elements at `S`'s GEMM compute
+/// width.
+fn compute_slots<S: Scalar>(len: usize) -> f64 {
+    (len * <S::Compute as Scalar>::BYTES) as f64 / 4.0
 }
 
 /// Recycled scratch for [`KernelModel::predict_with_into`] — the
@@ -368,57 +402,38 @@ impl<S: Scalar> KernelModel<S> {
         bufs: &mut PredictBuffers<S>,
         out: &mut Matrix<S>,
     ) {
-        assert_eq!(x.cols(), self.dim(), "predict: feature dim mismatch");
-        assert!(opts.block_rows > 0, "block_rows must be positive");
-        assert!(opts.col_tile != Some(0), "col_tile must be positive");
-        let n = self.n_centers();
-        let l = self.n_outputs();
-        let m = x.rows();
-        assert_eq!(out.shape(), (m, l), "predict: output shape mismatch");
-        let col_tile = opts.col_tile.unwrap_or(n).min(n);
-        // Center-side norms are cached across calls (revalidated by Arc
-        // identity) and sliced per tile; the input-side norms and the
-        // kernel panel live in recycled buffers.
-        bufs.center_norms(self);
-        let mut row0 = 0;
-        while row0 < m {
-            let rows = opts.block_rows.min(m - row0);
-            // Whole-input blocks (the serving case: one micro-batch, one
-            // block) borrow `x` directly; partial blocks stage into the
-            // recycled copy.
-            let block: &Matrix<S> = if rows == m {
-                x
-            } else {
-                bufs.x_block.resize(rows, x.cols());
-                for i in 0..rows {
-                    bufs.x_block.row_mut(i).copy_from_slice(x.row(row0 + i));
-                }
-                &bufs.x_block
-            };
-            kmat::row_sq_norms_into(block, &mut bufs.b_sq);
-            bufs.f_block.resize(rows, l);
-            let mut j0 = 0;
-            while j0 < n {
-                let cols = col_tile.min(n - j0);
-                let c_tile = self.centers.submatrix(j0, 0, cols, self.dim());
-                bufs.k_tile.resize(rows, cols);
-                kmat::kernel_cross_into(
-                    self.kernel.as_ref(),
-                    block,
-                    &c_tile,
-                    &bufs.b_sq,
-                    &bufs.c_sq[j0..j0 + cols],
-                    &mut bufs.k_tile,
-                );
-                let w_tile = self.weights.submatrix(j0, 0, cols, l);
-                blas::gemm(S::ONE, &bufs.k_tile, &w_tile, S::ONE, &mut bufs.f_block);
-                j0 += cols;
-            }
-            opts.epilogue.apply(&mut bufs.f_block);
-            for i in 0..rows {
-                out.row_mut(row0 + i).copy_from_slice(bufs.f_block.row(i));
-            }
-            row0 += rows;
+        predict_blocks(Panels::PerCall(self), x, opts, bufs, out);
+    }
+
+    /// Packs the model once for repeated prediction under `opts`: one
+    /// packed block of centers and one of weights per column tile, plus the
+    /// center norms (see [`PackedModel`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a blocking factor in `opts` is 0.
+    pub fn pack(&self, opts: &PredictOptions) -> PackedModel<S> {
+        check_opts(opts);
+        let (n, l) = (self.n_centers(), self.n_outputs());
+        let weights = self.weights.as_slice();
+        let tiles = column_tiles(n, opts)
+            .map(|t| PackedTile {
+                weights: PackedB::pack(View::row_major(
+                    &weights[t.start * l..t.end * l],
+                    t.len(),
+                    l,
+                )),
+                centers: kmat::pack_centers(&self.centers, t),
+            })
+            .collect();
+        PackedModel {
+            kernel: Arc::clone(&self.kernel),
+            opts: *opts,
+            n,
+            d: self.dim(),
+            l,
+            c_sq: kmat::row_sq_norms(&self.centers),
+            tiles,
         }
     }
 
@@ -484,6 +499,180 @@ impl<S: Scalar> KernelModel<S> {
         let mut f = Matrix::zeros(k_block.rows(), self.n_outputs());
         blas::gemm(S::ONE, k_block, &self.weights, S::ZERO, &mut f);
         f
+    }
+}
+
+/// A [`KernelModel`] packed once for repeated prediction under fixed
+/// [`PredictOptions`] ([`KernelModel::pack`]) — the serving engine's
+/// resident copy, shared read-only by all its workers.
+///
+/// Holds, per column tile, the tile's centers and weights already in the
+/// GEMM engines' packed-panel layout ([`PackedB`], at
+/// [`Scalar::Compute`] width), plus the center norms. [`PackedModel::predict_into`]
+/// runs the same row-block × column-tile loop as
+/// [`KernelModel::predict_with_into`] at the packed options; only the
+/// source of the B panels differs, so its output is bitwise the same. What
+/// it saves is the per-call work: the strided gather of the centers, the
+/// weights' packing, and the per-tile copies of both.
+#[derive(Debug)]
+pub struct PackedModel<S: Scalar> {
+    kernel: Arc<dyn Kernel<S>>,
+    opts: PredictOptions,
+    n: usize,
+    d: usize,
+    l: usize,
+    c_sq: Vec<S::Accum>,
+    tiles: Vec<PackedTile<S>>,
+}
+
+/// One column tile of a [`PackedModel`]: its centers (as `Cᵀ`) and its
+/// rows of `α`, packed.
+#[derive(Debug)]
+struct PackedTile<S: Scalar> {
+    centers: PackedB<S>,
+    weights: PackedB<S>,
+}
+
+impl<S: Scalar> PackedModel<S> {
+    /// Packed elements held, at [`Scalar::Compute`] width.
+    pub fn len(&self) -> usize {
+        self.tiles
+            .iter()
+            .map(|t| t.centers.len() + t.weights.len())
+            .sum()
+    }
+
+    /// Whether the packed panels hold no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Ledger slots (4-byte units) the packed panels hold: their
+    /// [`PackedModel::len`] at compute width — f32 for a bf16 model.
+    pub fn slots(&self) -> f64 {
+        compute_slots::<S>(self.len())
+    }
+
+    /// [`KernelModel::predict_with_into`] at the packed options, reading
+    /// the packed panels: bitwise the same output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols()` is not the model's feature dimension or `out`
+    /// is not `(x.rows(), l)`.
+    pub fn predict_into(&self, x: &Matrix<S>, bufs: &mut PredictBuffers<S>, out: &mut Matrix<S>) {
+        predict_blocks(Panels::Packed(self), x, &self.opts, bufs, out);
+    }
+}
+
+/// Where a prediction's B panels come from: the model's centers and
+/// weights, sliced and packed by every GEMM call, or a [`PackedModel`]'s
+/// tiles, packed once.
+#[derive(Clone, Copy)]
+enum Panels<'a, S: Scalar> {
+    PerCall(&'a KernelModel<S>),
+    Packed(&'a PackedModel<S>),
+}
+
+fn check_opts(opts: &PredictOptions) {
+    assert!(opts.block_rows > 0, "block_rows must be positive");
+    assert!(opts.col_tile != Some(0), "col_tile must be positive");
+}
+
+/// The prediction loop both paths run: row blocks of `x` against
+/// center-side tiles (`f += K[:, j0..j1] · α[j0..j1, :]`), then the
+/// epilogue per block. Center-side norms come from the recycled cache
+/// (per-call path, revalidated by Arc identity) or the packed model; the
+/// input-side norms, staged block, kernel panel and output block live in
+/// `bufs`.
+fn predict_blocks<S: Scalar>(
+    panels: Panels<'_, S>,
+    x: &Matrix<S>,
+    opts: &PredictOptions,
+    bufs: &mut PredictBuffers<S>,
+    out: &mut Matrix<S>,
+) {
+    let (kernel, n, d, l) = match panels {
+        Panels::PerCall(model) => (
+            model.kernel.as_ref(),
+            model.n_centers(),
+            model.dim(),
+            model.n_outputs(),
+        ),
+        Panels::Packed(p) => (p.kernel.as_ref(), p.n, p.d, p.l),
+    };
+    assert_eq!(x.cols(), d, "predict: feature dim mismatch");
+    check_opts(opts);
+    let m = x.rows();
+    assert_eq!(out.shape(), (m, l), "predict: output shape mismatch");
+    if let Panels::PerCall(model) = panels {
+        bufs.center_norms(model);
+    }
+    let PredictBuffers {
+        c_sq,
+        b_sq,
+        x_block,
+        k_tile,
+        f_block,
+        ..
+    } = bufs;
+    let c_sq: &[S::Accum] = match panels {
+        Panels::PerCall(_) => c_sq,
+        Panels::Packed(p) => &p.c_sq,
+    };
+    let mut row0 = 0;
+    while row0 < m {
+        let rows = opts.block_rows.min(m - row0);
+        // Whole-input blocks (the serving case: one micro-batch, one
+        // block) borrow `x` directly; partial blocks stage into the
+        // recycled copy.
+        let block: &Matrix<S> = if rows == m {
+            x
+        } else {
+            x_block.resize(rows, d);
+            for i in 0..rows {
+                x_block.row_mut(i).copy_from_slice(x.row(row0 + i));
+            }
+            x_block
+        };
+        kmat::row_sq_norms_into(block, b_sq);
+        f_block.resize(rows, l);
+        for (t, tile) in column_tiles(n, opts).enumerate() {
+            let (j0, cols) = (tile.start, tile.len());
+            let c_sq = &c_sq[tile];
+            k_tile.resize(rows, cols);
+            match panels {
+                Panels::PerCall(model) => {
+                    let c_tile = model.centers.submatrix(j0, 0, cols, d);
+                    kmat::kernel_cross_into(kernel, block, &c_tile, b_sq, c_sq, k_tile);
+                    let w_tile = model.weights.submatrix(j0, 0, cols, l);
+                    blas::gemm(S::ONE, k_tile, &w_tile, S::ONE, f_block);
+                }
+                Panels::Packed(p) => {
+                    let packed = &p.tiles[t];
+                    kmat::kernel_cross_prepacked_into(
+                        kernel,
+                        block,
+                        &packed.centers,
+                        b_sq,
+                        c_sq,
+                        k_tile,
+                    );
+                    gemm::gemm_prepacked(
+                        S::ONE,
+                        View::row_major(k_tile.as_slice(), rows, cols),
+                        &packed.weights,
+                        S::ONE,
+                        f_block.as_mut_slice(),
+                    );
+                }
+            }
+        }
+        opts.epilogue.apply(f_block);
+        for i in 0..rows {
+            out.row_mut(row0 + i).copy_from_slice(f_block.row(i));
+        }
+        row0 += rows;
     }
 }
 
@@ -589,6 +778,111 @@ mod tests {
             m.predict_with_into(&x, &opts, &mut bufs, &mut out);
             assert_eq!(out.as_slice(), m.predict_with(&x, &opts).as_slice());
         }
+    }
+
+    /// The packed model predicts bitwise what `predict_with_into` does at
+    /// the same options, for an `n x d` model with `l` outputs, at each
+    /// batch size in `sizes`.
+    fn packed_matches_per_call<S: Scalar>(
+        (n, d, l): (usize, usize, usize),
+        opts: PredictOptions,
+        threads: usize,
+        sizes: &[usize],
+    ) {
+        let kernel: Arc<dyn Kernel<S>> = Arc::new(GaussianKernel::new((d as f64).sqrt() * 0.4));
+        let centers = Matrix::from_fn(n, d, |i, j| {
+            S::from_f64(((i * 37 + j * 11) % 29) as f64 * 0.05 - 0.6)
+        });
+        let weights = Matrix::from_fn(n, l, |i, j| {
+            S::from_f64(((i * 7 + j) % 13) as f64 * 0.1 - 0.5)
+        });
+        let model = KernelModel::from_weights(kernel, centers, weights);
+        let packed = model.pack(&opts);
+        assert_eq!(
+            packed.slots(),
+            opts.packed_slots(n, d, l, precision_of::<S>())
+        );
+        let (mut b1, mut b2) = (PredictBuffers::new(), PredictBuffers::new());
+        ep2_runtime::with_budget(threads, || {
+            for &m in sizes {
+                let x = Matrix::from_fn(m, d, |i, j| {
+                    S::from_f64(((i * 5 + j * 3) % 17) as f64 * 0.07 - 0.5)
+                });
+                let mut want = Matrix::zeros(m, l);
+                model.predict_with_into(&x, &opts, &mut b1, &mut want);
+                let mut got = Matrix::zeros(m, l);
+                packed.predict_into(&x, &mut b2, &mut got);
+                for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(
+                        g.to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "{} {n}x{d}x{l} m={m} entry {i} at {threads} threads, {opts:?}",
+                        S::NAME
+                    );
+                }
+            }
+        });
+    }
+
+    fn precision_of<S: Scalar>() -> Precision {
+        match S::NAME {
+            "f32" => Precision::F32,
+            "bf16" => Precision::Bf16,
+            _ => Precision::F64,
+        }
+    }
+
+    /// Runs [`packed_matches_per_call`] at every precision, at budgets 1
+    /// and 2, untiled and column-tiled by `tile`.
+    fn packed_matches_everywhere(
+        shape: (usize, usize, usize),
+        cap: usize,
+        tile: usize,
+        sizes: &[usize],
+    ) {
+        for opts in [
+            PredictOptions::new().block_rows(cap),
+            PredictOptions::new().block_rows(cap).col_tile(tile),
+        ] {
+            for threads in [1, 2] {
+                packed_matches_per_call::<f32>(shape, opts, threads, sizes);
+                packed_matches_per_call::<f64>(shape, opts, threads, sizes);
+                packed_matches_per_call::<ep2_linalg::Bf16>(shape, opts, threads, sizes);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_predict_is_bitwise_predict_with_into() {
+        use ep2_linalg::gemm::{KC, MC, NC};
+        // n crosses NC, d crosses KC, l = 19 leaves NR edges at every
+        // precision, a 300-wide tile crosses KC in the weight product; the
+        // sizes are one row, MR edges for both heights (6 and 8), and a cap
+        // past MC.
+        let cap = MC + 7;
+        packed_matches_everywhere((NC + 9, KC + 5, 19), cap, 300, &[1, 2, 7, 13, cap]);
+    }
+
+    #[test]
+    fn packed_predict_matches_at_every_batch_size() {
+        // Every batch size from one row to the cap, on a small model.
+        let cap = 17;
+        let sizes: Vec<usize> = (1..=cap).collect();
+        packed_matches_everywhere((40, 9, 3), cap, 16, &sizes);
+    }
+
+    #[test]
+    fn packed_predict_stages_partial_row_blocks() {
+        let mut m = toy_model();
+        m.weights_mut()
+            .as_mut_slice()
+            .copy_from_slice(&[0.5, -1.0, 2.0, 0.0, -0.3, 0.7]);
+        let opts = PredictOptions::new().block_rows(4).col_tile(2);
+        let x = Matrix::from_fn(10, 2, |i, j| (i as f64) * 0.3 - (j as f64) * 0.1);
+        let mut out = Matrix::zeros(10, 2);
+        m.pack(&opts)
+            .predict_into(&x, &mut PredictBuffers::new(), &mut out);
+        assert_eq!(out.as_slice(), m.predict_with(&x, &opts).as_slice());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! measuring the fused path surfaced.
 
 use crate::Kernel;
-use ep2_linalg::gemm::Epilogue;
+use ep2_linalg::gemm::{self, Epilogue, PackedB, View};
 use ep2_linalg::{blas, ops, parallel, vmath, Matrix, Scalar};
-use std::any::TypeId;
+use std::ops::Range;
 
 /// Assembles the cross kernel matrix `K[i][j] = k(a_i, b_j)` of shape
 /// `(a.rows(), b.rows())`.
@@ -97,7 +97,7 @@ pub fn kernel_cross_into<S: Scalar>(
     b_sq: &[S::Accum],
     out: &mut Matrix<S>,
 ) {
-    let Some(epi) = assembly_preamble(kernel, a, b, a_sq, b_sq, out, false) else {
+    let Some(epi) = assembly_preamble(kernel, a, b.shape(), a_sq, b_sq, out, false) else {
         return;
     };
     // -2 A B^T through the packed register-blocked engine (B^T is a stride
@@ -105,6 +105,52 @@ pub fn kernel_cross_into<S: Scalar>(
     // fused into the C write-back: each tile is mapped while still cache-
     // hot instead of being stored, re-read and re-stored by a second pass.
     blas::gemm_nt_epilogue(S::from_f64(-2.0), a, b, S::ZERO, out, &epi);
+}
+
+/// [`kernel_cross_into`] against centers packed once ahead of the call:
+/// `b_packed` is [`pack_centers`] of the center rows whose norms are
+/// `b_sq`. Same GEMM engines, microkernel, write-back and fused profile
+/// epilogue as [`kernel_cross_into`] on those rows, so `out` is bitwise the
+/// same; only the per-call strided gather of the centers is gone. This is
+/// the serving hot path's assembly.
+///
+/// # Panics
+///
+/// Panics if the feature dimensions differ, `out` is not
+/// `a.rows() x b_packed.cols()`, or a norm slice is shorter than its side.
+pub fn kernel_cross_prepacked_into<S: Scalar>(
+    kernel: &dyn Kernel<S>,
+    a: &Matrix<S>,
+    b_packed: &PackedB<S>,
+    a_sq: &[S::Accum],
+    b_sq: &[S::Accum],
+    out: &mut Matrix<S>,
+) {
+    let b_shape = (b_packed.cols(), b_packed.rows());
+    let Some(epi) = assembly_preamble(kernel, a, b_shape, a_sq, b_sq, out, false) else {
+        return;
+    };
+    gemm::gemm_prepacked_epilogue(
+        S::from_f64(-2.0),
+        View::row_major(a.as_slice(), a.rows(), a.cols()),
+        b_packed,
+        S::ZERO,
+        out.as_mut_slice(),
+        &epi,
+    );
+}
+
+/// Packs the center rows `rows` of `b` as the right-hand operand of the
+/// `-2 A Bᵀ` cross-term product ([`kernel_cross_prepacked_into`]): their
+/// transpose, in the GEMM engines' block layout.
+///
+/// # Panics
+///
+/// Panics if `rows` runs past `b.rows()`.
+pub fn pack_centers<S: Scalar>(b: &Matrix<S>, rows: Range<usize>) -> PackedB<S> {
+    let d = b.cols();
+    let slice = &b.as_slice()[rows.start * d..rows.end * d];
+    PackedB::pack(View::transposed(slice, rows.len(), d))
 }
 
 /// The pre-fusion two-pass assembly, kept as the reference baseline: the
@@ -126,7 +172,7 @@ pub fn kernel_cross_into_two_pass<S: Scalar>(
     b_sq: &[S::Accum],
     out: &mut Matrix<S>,
 ) {
-    if assembly_preamble(kernel, a, b, a_sq, b_sq, out, false).is_none() {
+    if assembly_preamble(kernel, a, b.shape(), a_sq, b_sq, out, false).is_none() {
         return;
     }
     let m = b.rows();
@@ -171,20 +217,20 @@ fn d2_lanes<S: Scalar>(a_sq_i: S::Accum, b_sq: &[S::Accum], stored: &[S], d2: &m
     }
 }
 
-/// Shared shape checks of the assembly entry points; returns the fused
-/// epilogue to run, or `None` when the output is empty and the caller is
-/// done.
+/// Shared shape checks of the assembly entry points (`(m, b_dim)` is the
+/// center side's `(rows, features)`); returns the fused epilogue to run, or
+/// `None` when the output is empty and the caller is done.
 fn assembly_preamble<'k, S: Scalar>(
     kernel: &'k dyn Kernel<S>,
     a: &Matrix<S>,
-    b: &Matrix<S>,
+    (m, b_dim): (usize, usize),
     a_sq: &'k [S::Accum],
     b_sq: &'k [S::Accum],
     out: &mut Matrix<S>,
     lower_only: bool,
 ) -> Option<ProfileEpilogue<'k, S>> {
-    assert_eq!(a.cols(), b.cols(), "kernel_cross_into: feature dims differ");
-    let (n, m) = (a.rows(), b.rows());
+    assert_eq!(a.cols(), b_dim, "kernel_cross_into: feature dims differ");
+    let n = a.rows();
     assert_eq!(out.shape(), (n, m), "kernel_cross_into: bad output shape");
     assert!(a_sq.len() >= n && b_sq.len() >= m, "norm slice too short");
     if n == 0 || m == 0 {
@@ -268,45 +314,28 @@ impl<S: Scalar> Epilogue<S> for ProfileEpilogue<'_, S> {
     }
 }
 
-/// Whether `S` stores the packed-GEMM compute type exactly (`f32`/`f64`,
-/// not `Bf16`) — the condition under which assembled cross matrices of a
-/// point set against itself are **exactly** symmetric (entry `(i, j)` and
-/// `(j, i)` accumulate the same products in the same `pc`-ascending order;
-/// under bf16 storage the interior- vs. edge-tile write-back chains round
-/// differently, so exact symmetry can break at tile boundaries).
-fn storage_is_compute<S: Scalar>() -> bool {
-    TypeId::of::<S>() == TypeId::of::<S::Compute>()
-}
-
 /// Assembles the symmetric kernel matrix `K[i][j] = k(x_i, x_j)`.
 ///
 /// The result is exactly symmetric with a unit diagonal (enforced after the
 /// floating-point assembly). The row norms are computed once and shared by
 /// both sides of the Gram expansion.
 ///
-/// For the native floats the fused epilogue only evaluates the radial
-/// profile on the diagonal-and-lower triangle and the upper one is mirrored
-/// — bitwise the same result, because the assembled cross matrix of `x`
-/// against itself is exactly symmetric there (see `storage_is_compute`),
+/// The fused epilogue only evaluates the radial profile on the
+/// diagonal-and-lower triangle and the upper one is mirrored — bitwise the
+/// full assembly, because the cross matrix of `x` against itself is exactly
+/// symmetric at every precision (entries `(i, j)` and `(j, i)` run the same
+/// products through the same per-slab chain, whatever tile each lands in),
 /// at half the profile cost (measured: 1.07–1.22x `kernel_matrix`
 /// wall-clock at d = 256, n = 1000/4000 — the `kernel_matrix_lower` rows
 /// in `BENCH_gemm.json`; the GEMM itself still computes both triangles, so
-/// the saving is bounded by the profile share). Under bf16 storage exact
-/// symmetry can break at tile boundaries, so that path keeps the full
-/// assembly + symmetrize average, preserving its pre-fusion output bit for
-/// bit.
+/// the saving is bounded by the profile share).
 pub fn kernel_matrix<S: Scalar>(kernel: &dyn Kernel<S>, x: &Matrix<S>) -> Matrix<S> {
     let x_sq = row_sq_norms(x);
     let n = x.rows();
     let mut k = Matrix::zeros(n, n);
-    if n > 0 && storage_is_compute::<S>() {
-        let epi = assembly_preamble(kernel, x, x, &x_sq, &x_sq, &mut k, true)
-            .expect("n > 0 checked above");
+    if let Some(epi) = assembly_preamble(kernel, x, x.shape(), &x_sq, &x_sq, &mut k, true) {
         blas::gemm_nt_epilogue(S::from_f64(-2.0), x, x, S::ZERO, &mut k, &epi);
         k.mirror_lower();
-    } else {
-        kernel_cross_into(kernel, x, x, &x_sq, &x_sq, &mut k);
-        k.symmetrize();
     }
     for i in 0..n {
         k[(i, i)] = kernel.of_sq_dist(S::ZERO);
@@ -443,6 +472,52 @@ mod tests {
                 }
                 j0 += len;
             }
+        }
+    }
+
+    fn prepacked_matches_per_call<S: Scalar>(rows: usize, n: usize, d: usize) {
+        let k = GaussianKernel::new(1.7);
+        let kernel: &dyn Kernel<S> = &k;
+        let a: Matrix<S> = points(rows, d, 31).cast();
+        let b: Matrix<S> = points(n, d, 32).cast();
+        let (a_sq, b_sq) = (row_sq_norms(&a), row_sq_norms(&b));
+        let j0 = n / 3;
+        let tile = b.submatrix(j0, 0, n - j0, d);
+        let mut want = Matrix::zeros(rows, n - j0);
+        kernel_cross_into(kernel, &a, &tile, &a_sq, &b_sq[j0..], &mut want);
+        let packed = pack_centers(&b, j0..n);
+        let mut got = Matrix::zeros(rows, n - j0);
+        kernel_cross_prepacked_into(kernel, &a, &packed, &a_sq, &b_sq[j0..], &mut got);
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_f64().to_bits(), w.to_f64().to_bits(), "entry {i}");
+        }
+    }
+
+    #[test]
+    fn prepacked_assembly_matches_per_call_bitwise() {
+        // One row (small-product shape) and a multi-slab, multi-block shape.
+        for &(rows, n, d) in &[(1, 40, 6), (9, 700, 300)] {
+            prepacked_matches_per_call::<f32>(rows, n, d);
+            prepacked_matches_per_call::<f64>(rows, n, d);
+            prepacked_matches_per_call::<ep2_linalg::Bf16>(rows, n, d);
+        }
+    }
+
+    #[test]
+    fn bf16_kernel_matrix_is_the_full_assembly() {
+        // The lower-triangle-and-mirror path equals the full cross assembly
+        // bit for bit at bf16 too: the cross matrix is exactly symmetric.
+        let k = GaussianKernel::new(1.1);
+        let kernel: &dyn Kernel<ep2_linalg::Bf16> = &k;
+        let x: Matrix<ep2_linalg::Bf16> = points(70, 300, 41).cast();
+        let km = kernel_matrix(kernel, &x);
+        let mut full = kernel_cross(kernel, &x, &x);
+        for i in 0..70 {
+            full[(i, i)] = kernel.of_sq_dist(ep2_linalg::Bf16::ZERO);
+        }
+        assert_eq!(full.asymmetry().to_f64(), 0.0);
+        for (i, (a, b)) in km.as_slice().iter().zip(full.as_slice()).enumerate() {
+            assert_eq!(a.to_f64().to_bits(), b.to_f64().to_bits(), "entry {i}");
         }
     }
 

@@ -39,9 +39,15 @@
 //!   giving `2·MR·NR/(MR+NR)` flops per element loaded instead of the ~1 of
 //!   an axpy sweep.
 //! - **Edge tiles** (`m`, `n` not multiples of `MR`/`NR`) run the same full
-//!   microkernel against zero-padded panels into a stack scratch tile, and
-//!   only the valid `mr x nr` corner is accumulated back — no scalar
-//!   fallback loops to keep correct.
+//!   microkernel against zero-padded panels on a stack copy of the valid
+//!   `mr x nr` corner of `C`, which is then copied back — no scalar
+//!   fallback loops to keep correct, and the same per-entry write-back as
+//!   an interior tile, so an entry's bits never depend on the tiling.
+//! - **Pre-packed operands** ([`PackedB`], [`gemm_prepacked`]): an operand
+//!   read by many products (a served model's centers and weights) can be
+//!   packed once into exactly the blocks the engines pack per call; the
+//!   engines then read its panels instead of packing, with bitwise the
+//!   same result.
 //! - **Threading** runs on the [`ep2_runtime`] worker pool under the
 //!   caller's thread-budget handle ([`crate::parallel::num_threads`]). For
 //!   every `(jc, pc)` cache block the packed-B slab is filled **once,
@@ -112,13 +118,10 @@ const MAX_TILE: usize = 128;
 ///   precision exactly as the plain engines do, so the per-entry rounding
 ///   chain (one storage rounding per slab for `bf16`) is **bit-for-bit
 ///   identical** to running the plain GEMM first.
-/// - The value handed to `apply` satisfies `from_compute(acc) == stored`,
-///   where `stored` is exactly the plain GEMM's result for that entry:
-///   the small engine hands the pre-narrowing accumulator, and the blocked
-///   engines hand the plain write-back's stored value widened back to
-///   compute width (`from_compute . compute` is the identity, so both
-///   narrow to the same bits) — pinned by the
-///   `store_epilogue_matches_plain_gemm` tests.
+/// - The value handed to `apply` is `stored.compute()`, where `stored` is
+///   exactly the plain GEMM's result for that entry, in every engine
+///   (`from_compute . compute` is the identity, so it narrows back to the
+///   same bits) — pinned by the `store_epilogue_matches_plain_gemm` tests.
 /// - Threading never changes what `apply` sees, only which worker calls it.
 ///
 /// Implementations must be `Sync`: the packed engines invoke the epilogue
@@ -362,17 +365,19 @@ fn compute_tile<S: Scalar>(
     if mr_here == mr && nr_here == nr {
         S::microkernel(kc, alpha, a_panel, b_panel, c, ldc);
     } else {
-        // Edge tile: run the full (zero-padded) kernel into a scratch
-        // tile, accumulate the valid corner.
+        // Edge tile: run the full (zero-padded) kernel on a scratch copy of
+        // the valid C corner and copy the corner back. Each entry then goes
+        // through the interior tiles' exact write-back (one storage
+        // rounding per slab), so its bits never depend on where a tile
+        // boundary falls.
         debug_assert!(mr <= MAX_MR && mr * nr <= MAX_TILE);
         let mut tile = [S::ZERO; MAX_TILE];
+        for i in 0..mr_here {
+            tile[i * nr..i * nr + nr_here].copy_from_slice(&c[i * ldc..][..nr_here]);
+        }
         S::microkernel(kc, alpha, a_panel, b_panel, &mut tile, nr);
         for i in 0..mr_here {
-            let src = &tile[i * nr..i * nr + nr_here];
-            let dst = &mut c[i * ldc..][..nr_here];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
+            c[i * ldc..][..nr_here].copy_from_slice(&tile[i * nr..i * nr + nr_here]);
         }
     }
 }
@@ -415,7 +420,7 @@ fn epilogue_block<S: Scalar, E: Epilogue<S>>(
 fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
     alpha: S,
     a: &View<'_, S>,
-    b: &View<'_, S>,
+    b: BSource<'_, S>,
     c: &mut [S],
     r0: usize,
     rows: usize,
@@ -423,23 +428,27 @@ fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
     epi: Option<&E>,
 ) {
     let (mr, nr) = (S::MR, S::NR);
-    let k = a.cols;
-    let n = b.cols;
+    let (k, n) = (a.cols, b.cols());
     let ap_len = MC.div_ceil(mr) * mr * KC;
-    let bp_len = NC.div_ceil(nr) * nr * KC;
-    parallel::with_pack_buffers::<S::Compute, _, _>(ap_len, bp_len, |ap, bp| {
+    parallel::with_pack_buffers::<S::Compute, _, _>(ap_len, b.slab_len(), |ap, bp| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 let fuse = if pc + KC >= k { epi } else { None };
-                pack_b(b, pc, jc, kc, nc, bp);
+                let panels: &[S::Compute] = match b {
+                    BSource::View(v) => {
+                        pack_b(&v, pc, jc, kc, nc, bp);
+                        &*bp
+                    }
+                    BSource::Packed(p) => p.block(jc, pc),
+                };
                 for ic in (0..rows).step_by(MC) {
                     let mc = MC.min(rows - ic);
                     pack_a(a, r0 + ic, pc, mc, kc, ap);
                     for jr in (0..nc).step_by(nr) {
                         let nr_here = nr.min(nc - jr);
-                        let b_panel = &bp[(jr / nr) * nr * kc..][..nr * kc];
+                        let b_panel = &panels[(jr / nr) * nr * kc..][..nr * kc];
                         for ir in (0..mc).step_by(mr) {
                             let mr_here = mr.min(mc - ir);
                             let a_panel = &ap[(ir / mr) * mr * kc..][..mr * kc];
@@ -472,7 +481,9 @@ fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
 pub const SMALL_PRODUCT: usize = 1 << 17;
 
 /// Dispatch used by the `blas` wrappers: the packed engine for real work,
-/// a direct dot-form loop for products too small to amortise packing.
+/// a direct loop for products too small to amortise packing. Both give the
+/// same bits (the small loop runs the blocked engines' per-entry chain), so
+/// the threshold is a speed choice only.
 pub fn gemm_auto<S: Scalar>(alpha: S, a: View<'_, S>, b: View<'_, S>, beta: S, c: &mut [S]) {
     if a.rows * a.cols * b.cols <= SMALL_PRODUCT {
         gemm_small(alpha, a, b, beta, c);
@@ -501,13 +512,39 @@ pub fn gemm_auto_epilogue<S: Scalar, E: Epilogue<S>>(
 }
 
 /// Direct per-entry products for sub-[`SMALL_PRODUCT`] shapes.
+///
+/// Every entry runs exactly the blocked engines' chain: the `beta` pass,
+/// then per `KC` slab of the shared dimension (ascending) an FMA chain from
+/// zero at [`Scalar::Compute`] width and the microkernel's write-back
+/// `c <- from_compute(c + alpha·acc)`. So a product's bits do not depend on
+/// which engine its shape dispatches to: one row of `A` gives the same row
+/// of `C` alone (here) as inside a large batch (packed).
 fn gemm_small<S: Scalar>(alpha: S, a: View<'_, S>, b: View<'_, S>, beta: S, c: &mut [S]) {
-    // The identity epilogue stores `from_compute(acc)` — exactly the plain
-    // small-path write-back, so one loop serves both entry points.
-    gemm_small_epilogue(alpha, a, b, beta, c, &StoreEpilogue);
+    assert_eq!(a.cols, b.rows, "gemm: inner dimension mismatch");
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    assert_eq!(c.len(), m * n, "gemm: C buffer shape mismatch");
+    scale_stripe(c, beta);
+    if k == 0 || alpha == S::ZERO {
+        return;
+    }
+    let alpha_c = alpha.compute();
+    for (i, c_row) in c.chunks_exact_mut(n.max(1)).enumerate() {
+        for pc in (0..k).step_by(KC) {
+            let slab = pc..k.min(pc + KC);
+            for (j, cv) in c_row.iter_mut().enumerate() {
+                let mut acc = S::Compute::ZERO;
+                for p in slab.clone() {
+                    acc = a.at(i, p).compute().mul_add(b.at(p, j).compute(), acc);
+                }
+                *cv = S::from_compute(cv.compute() + alpha_c * acc);
+            }
+        }
+    }
 }
 
-/// [`gemm_small`] with the write-back routed through an epilogue.
+/// [`gemm_small`] followed by the epilogue over each finished row, handed
+/// the stored values widened back to compute width as the blocked engines
+/// hand them.
 fn gemm_small_epilogue<S: Scalar, E: Epilogue<S>>(
     alpha: S,
     a: View<'_, S>,
@@ -516,34 +553,11 @@ fn gemm_small_epilogue<S: Scalar, E: Epilogue<S>>(
     c: &mut [S],
     epi: &E,
 ) {
-    assert_eq!(a.cols, b.rows, "gemm: inner dimension mismatch");
-    let (m, n) = (a.rows, b.cols);
-    let k = a.cols;
-    assert_eq!(c.len(), m * n, "gemm: C buffer shape mismatch");
-    // Dot products run in the compute precision (identity for the native
-    // floats; f32 for bf16 storage), mirroring the packed engine's
-    // pack-time widening so both paths share one rounding model.
-    let (alpha_c, beta_c) = (alpha.compute(), beta.compute());
-    // Entries are staged at compute width a BLOCK-sized row segment at a
-    // time and handed to the epilogue through the batched `apply_row`
-    // seam, so a lane-batching epilogue gets full segments here too.
-    let mut seg_acc = [S::Compute::ZERO; vmath::BLOCK];
-    for (i, c_row) in c.chunks_exact_mut(n.max(1)).enumerate().take(m) {
-        for (s, seg) in c_row.chunks_mut(vmath::BLOCK).enumerate() {
-            let j0 = s * vmath::BLOCK;
-            let accs = &mut seg_acc[..seg.len()];
-            for (jj, (av, cv)) in accs.iter_mut().zip(seg.iter()).enumerate() {
-                let mut acc = S::Compute::ZERO;
-                for p in 0..k {
-                    acc += a.at(i, p).compute() * b.at(p, j0 + jj).compute();
-                }
-                *av = if beta == S::ZERO {
-                    alpha_c * acc
-                } else {
-                    alpha_c * acc + beta_c * cv.compute()
-                };
-            }
-            epi.apply_row(i, j0, accs, seg);
+    gemm_small(alpha, a, b, beta, c);
+    let n = b.cols;
+    if n > 0 {
+        for (i, row) in c.chunks_exact_mut(n).enumerate() {
+            epilogue_block(row, n, i, 1, 0, n, epi);
         }
     }
 }
@@ -568,12 +582,7 @@ fn gemm_small_epilogue<S: Scalar, E: Epilogue<S>>(
 /// Panics if `a.cols != b.rows`, `a.rows * b.cols != c.len() / ldc * ldc`
 /// shape-wise, or `ldc != b.cols`.
 pub fn gemm_packed<S: Scalar>(alpha: S, a: View<'_, S>, b: View<'_, S>, beta: S, c: &mut [S]) {
-    let threads = parallel::num_threads();
-    if threads <= 1 {
-        gemm_packed_perthread(alpha, a, b, beta, c);
-    } else {
-        gemm_shared_impl::<S, StoreEpilogue>(alpha, a, b, beta, c, threads, None);
-    }
+    gemm_blocked::<S, StoreEpilogue>(alpha, a, BSource::View(b), beta, c, None);
 }
 
 /// Fused-epilogue variant of [`gemm_packed`]: identical engine dispatch
@@ -587,11 +596,170 @@ pub fn gemm_packed_epilogue<S: Scalar, E: Epilogue<S>>(
     c: &mut [S],
     epi: &E,
 ) {
+    gemm_blocked(alpha, a, BSource::View(b), beta, c, Some(epi));
+}
+
+/// A right-hand GEMM operand packed once, ahead of the products that read
+/// it: every `(jc, pc)` cache block in the engines' loop order, each laid
+/// out exactly as the per-call packing writes it (NR-wide, k-major,
+/// zero-padded panels at [`Scalar::Compute`] width).
+///
+/// A product against it ([`gemm_prepacked`]) runs the same engines,
+/// microkernel and write-back as a product against the view it was packed
+/// from, so its result is bitwise the same; only the packing pass is gone.
+/// This is what lets a long-lived operand — a served model's centers and
+/// weights — be packed once and read by every later product, from any
+/// number of threads.
+#[derive(Debug)]
+pub struct PackedB<S: Scalar> {
+    data: Vec<S::Compute>,
+    rows: usize,
+    cols: usize,
+}
+
+impl<S: Scalar> PackedB<S> {
+    /// Packs the whole `k x n` operand `b`.
+    pub fn pack(b: View<'_, S>) -> Self {
+        let (k, n) = (b.rows, b.cols);
+        let mut data = vec![S::Compute::ZERO; Self::len_for(k, n)];
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack_b(
+                    &b,
+                    pc,
+                    jc,
+                    kc,
+                    nc,
+                    &mut data[block_offset::<S>(k, jc, pc, nc)..],
+                );
+            }
+        }
+        PackedB {
+            data,
+            rows: k,
+            cols: n,
+        }
+    }
+
+    /// Elements (at [`Scalar::Compute`] width) a packed `k x n` operand
+    /// holds: its columns padded to a multiple of `NR`, times `k`.
+    pub fn len_for(k: usize, n: usize) -> usize {
+        n.div_ceil(S::NR) * S::NR * k
+    }
+
+    /// Elements held, at [`Scalar::Compute`] width.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the operand is empty (`k == 0` or `n == 0`).
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Logical row count `k` (the shared dimension).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Logical column count `n`.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The packed `(jc, pc)` cache block, exactly as `pack_b` lays it out.
+    fn block(&self, jc: usize, pc: usize) -> &[S::Compute] {
+        let nc = NC.min(self.cols - jc);
+        let kc = KC.min(self.rows - pc);
+        &self.data[block_offset::<S>(self.rows, jc, pc, nc)..][..nc.div_ceil(S::NR) * S::NR * kc]
+    }
+}
+
+/// Offset of block `(jc, pc)` (of width `nc`) in a packed `k`-row operand:
+/// each earlier column block holds `NC·k` elements (`NC` is a multiple of
+/// every `NR`), and within a column block each earlier slab `KC` padded
+/// rows of `nc`.
+fn block_offset<S: Scalar>(k: usize, jc: usize, pc: usize, nc: usize) -> usize {
+    jc * k + nc.div_ceil(S::NR) * S::NR * pc
+}
+
+/// `C <- alpha * A B + beta * C` against a pre-packed `B`: the dispatch of
+/// [`gemm_packed`] with the B panels read from `b` instead of packed per
+/// call — no shared-slab fill, no per-thread B packing.
+///
+/// The result is bitwise what [`gemm_auto`] gives on the view `b` was
+/// packed from, whatever the shape: small products skip the small-product
+/// path, which runs the same per-entry chain.
+///
+/// # Panics
+///
+/// Panics if `a.cols != b.rows()` or `c.len() != a.rows * b.cols()`.
+pub fn gemm_prepacked<S: Scalar>(alpha: S, a: View<'_, S>, b: &PackedB<S>, beta: S, c: &mut [S]) {
+    gemm_blocked::<S, StoreEpilogue>(alpha, a, BSource::Packed(b), beta, c, None);
+}
+
+/// Fused-epilogue variant of [`gemm_prepacked`], under the [`Epilogue`]
+/// contract.
+pub fn gemm_prepacked_epilogue<S: Scalar, E: Epilogue<S>>(
+    alpha: S,
+    a: View<'_, S>,
+    b: &PackedB<S>,
+    beta: S,
+    c: &mut [S],
+    epi: &E,
+) {
+    gemm_blocked(alpha, a, BSource::Packed(b), beta, c, Some(epi));
+}
+
+/// Where the blocked engines get their B panels: packed from a view on
+/// every call, or read from a [`PackedB`].
+#[derive(Debug, Clone, Copy)]
+enum BSource<'a, S: Scalar> {
+    View(View<'a, S>),
+    Packed(&'a PackedB<S>),
+}
+
+impl<S: Scalar> BSource<'_, S> {
+    fn rows(&self) -> usize {
+        match self {
+            BSource::View(v) => v.rows,
+            BSource::Packed(p) => p.rows,
+        }
+    }
+
+    fn cols(&self) -> usize {
+        match self {
+            BSource::View(v) => v.cols,
+            BSource::Packed(p) => p.cols,
+        }
+    }
+
+    /// Scratch elements one packed B block needs (none when pre-packed).
+    fn slab_len(&self) -> usize {
+        match self {
+            BSource::View(_) => NC.div_ceil(S::NR) * S::NR * KC,
+            BSource::Packed(_) => 0,
+        }
+    }
+}
+
+/// The blocked-engine dispatch: per-thread under a budget of 1, the
+/// cooperative shared-slab engine otherwise.
+fn gemm_blocked<S: Scalar, E: Epilogue<S>>(
+    alpha: S,
+    a: View<'_, S>,
+    b: BSource<'_, S>,
+    beta: S,
+    c: &mut [S],
+    epi: Option<&E>,
+) {
     let threads = parallel::num_threads();
     if threads <= 1 {
-        gemm_perthread_impl(alpha, a, b, beta, c, Some(epi));
+        gemm_perthread_impl(alpha, a, b, beta, c, epi);
     } else {
-        gemm_shared_impl(alpha, a, b, beta, c, threads, Some(epi));
+        gemm_shared_impl(alpha, a, b, beta, c, threads, epi);
     }
 }
 
@@ -613,13 +781,13 @@ fn epilogue_sweep<S: Scalar, E: Epilogue<S>>(c: &mut [S], n: usize, epi: &E) {
 /// engines; returns `None` when the caller is already done.
 fn packed_preamble<S: Scalar>(
     a: &View<'_, S>,
-    b: &View<'_, S>,
+    b: &BSource<'_, S>,
     alpha: S,
     beta: S,
     c: &mut [S],
 ) -> Option<(usize, usize, usize)> {
-    assert_eq!(a.cols, b.rows, "gemm_packed: inner dimension mismatch");
-    let (m, n) = (a.rows, b.cols);
+    assert_eq!(a.cols, b.rows(), "gemm_packed: inner dimension mismatch");
+    let (m, n) = (a.rows, b.cols());
     assert_eq!(c.len(), m * n, "gemm_packed: C buffer shape mismatch");
     if m == 0 || n == 0 {
         return None;
@@ -642,7 +810,7 @@ pub fn gemm_packed_perthread<S: Scalar>(
     beta: S,
     c: &mut [S],
 ) {
-    gemm_perthread_impl::<S, StoreEpilogue>(alpha, a, b, beta, c, None);
+    gemm_perthread_impl::<S, StoreEpilogue>(alpha, a, BSource::View(b), beta, c, None);
 }
 
 /// The per-thread engine body, shared by the plain and fused entry points
@@ -650,14 +818,14 @@ pub fn gemm_packed_perthread<S: Scalar>(
 fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
     alpha: S,
     a: View<'_, S>,
-    b: View<'_, S>,
+    b: BSource<'_, S>,
     beta: S,
     c: &mut [S],
     epi: Option<&E>,
 ) {
     let Some((m, _, n)) = packed_preamble(&a, &b, alpha, beta, c) else {
         if let Some(epi) = epi {
-            epilogue_sweep(c, b.cols, epi);
+            epilogue_sweep(c, b.cols(), epi);
         }
         return;
     };
@@ -672,7 +840,7 @@ fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
         let r0 = off / n;
         let rows = stripe.len() / n;
         scale_stripe(stripe, beta);
-        gemm_stripe(alpha, &a, &b, stripe, r0, rows, n, epi);
+        gemm_stripe(alpha, &a, b, stripe, r0, rows, n, epi);
     });
 }
 
@@ -683,7 +851,8 @@ fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
 /// packing as before). The fork-join between the two phases is the panel
 /// barrier: no worker reads a panel before the pool has finished writing
 /// the slab, and no worker overwrites it for the next `pc` before every
-/// reader of the current one has joined.
+/// reader of the current one has joined. A pre-packed B skips phase 1: the
+/// workers read its blocks directly.
 ///
 /// Shared by the plain and fused entry points (`epi == None` is the plain
 /// write-back on every slab; `Some` fires it on each entry's final `pc`
@@ -691,7 +860,7 @@ fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
 fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
     alpha: S,
     a: View<'_, S>,
-    b: View<'_, S>,
+    b: BSource<'_, S>,
     beta: S,
     c: &mut [S],
     threads: usize,
@@ -699,7 +868,7 @@ fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
 ) {
     let Some((m, k, n)) = packed_preamble(&a, &b, alpha, beta, c) else {
         if let Some(epi) = epi {
-            epilogue_sweep(c, b.cols, epi);
+            epilogue_sweep(c, b.cols(), epi);
         }
         return;
     };
@@ -708,28 +877,36 @@ fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
     // hoisted: every (jc, pc) block below is a pure accumulation).
     let beta_chunk = m.div_ceil(threads).max(1) * n;
     parallel::for_each_chunk_mut(c, beta_chunk, |_, stripe| scale_stripe(stripe, beta));
-    let bp_len = NC.div_ceil(nr) * nr * KC;
-    parallel::with_shared_slab::<S::Compute, _, _>(bp_len, |bp| {
+    parallel::with_shared_slab::<S::Compute, _, _>(b.slab_len(), |bp| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 let fuse = if pc + KC >= k { epi } else { None };
-                // Phase 1: cooperative pack. Each pool chunk fills one
-                // NR-wide panel; panels are disjoint slab slices.
-                let panels = nc.div_ceil(nr);
-                parallel::for_each_chunk_mut(&mut bp[..panels * nr * kc], nr * kc, |off, panel| {
-                    let pj = off / (nr * kc);
-                    pack_b_panel(&b, pc, jc + pj * nr, kc, nr.min(nc - pj * nr), panel);
-                });
+                let panels: &[S::Compute] = match b {
+                    BSource::View(v) => {
+                        // Phase 1: cooperative pack. Each pool chunk fills
+                        // one NR-wide panel; panels are disjoint slab slices.
+                        let count = nc.div_ceil(nr);
+                        parallel::for_each_chunk_mut(
+                            &mut bp[..count * nr * kc],
+                            nr * kc,
+                            |off, panel| {
+                                let pj = off / (nr * kc);
+                                pack_b_panel(&v, pc, jc + pj * nr, kc, nr.min(nc - pj * nr), panel);
+                            },
+                        );
+                        &*bp
+                    }
+                    BSource::Packed(p) => p.block(jc, pc),
+                };
                 // Phase 2: MC row blocks of C against the shared slab. MC is
                 // a multiple of both microkernel heights, so every chunk
                 // boundary is MR-aligned for every precision.
-                let bp_ro: &[S::Compute] = bp;
                 parallel::for_each_chunk_mut(c, MC * n, |off, stripe| {
                     let r0 = off / n;
                     let rows = stripe.len() / n;
-                    gemm_block_rows(alpha, &a, stripe, r0, rows, n, pc, kc, jc, nc, bp_ro, fuse);
+                    gemm_block_rows(alpha, &a, stripe, r0, rows, n, pc, kc, jc, nc, panels, fuse);
                 });
             }
         }
@@ -904,6 +1081,115 @@ mod tests {
             store_epilogue_matches_plain::<f32>(m, k, n);
             store_epilogue_matches_plain::<f64>(m, k, n);
             store_epilogue_matches_plain::<crate::Bf16>(m, k, n);
+        }
+    }
+
+    fn assert_bits_eq<S: Scalar>(got: &[S], want: &[S], what: &str) {
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_f64().to_bits(),
+                w.to_f64().to_bits(),
+                "{what}: entry {i} ({})",
+                S::NAME
+            );
+        }
+    }
+
+    /// The small loop and both blocked engines agree bit for bit, on shapes
+    /// with one and several `KC` slabs and MR/NR edges.
+    fn small_matches_packed<S: Scalar>(m: usize, k: usize, n: usize) {
+        let a: Vec<S> = fill(m * k, 41);
+        let b: Vec<S> = fill(k * n, 42);
+        let (av, bv) = (View::row_major(&a, m, k), View::row_major(&b, k, n));
+        let mut small = vec![S::from_f64(0.75); m * n];
+        gemm_small(S::from_f64(-2.0), av, bv, S::from_f64(0.5), &mut small);
+        for threads in [1, 2] {
+            let mut packed = vec![S::from_f64(0.75); m * n];
+            ep2_runtime::with_budget(threads, || {
+                gemm_packed(S::from_f64(-2.0), av, bv, S::from_f64(0.5), &mut packed)
+            });
+            assert_bits_eq(
+                &packed,
+                &small,
+                &format!("{m}x{k}x{n} at {threads} threads"),
+            );
+        }
+    }
+
+    #[test]
+    fn small_path_matches_packed_engines_bitwise() {
+        for &(m, k, n) in &[(1, 7, 9), (3, 2 * KC + 9, 5), (7, KC, 17)] {
+            small_matches_packed::<f32>(m, k, n);
+            small_matches_packed::<f64>(m, k, n);
+            small_matches_packed::<crate::Bf16>(m, k, n);
+        }
+    }
+
+    /// A row of `C` does not depend on the rows around it: the product of a
+    /// lone row (an edge tile, or the small loop) equals the same row
+    /// inside a many-row product, at every precision and multi-slab `k`.
+    fn row_independent<S: Scalar>(k: usize, n: usize) {
+        let m = MC + 5;
+        let a: Vec<S> = fill(m * k, 51);
+        let b: Vec<S> = fill(k * n, 52);
+        let bv = View::row_major(&b, k, n);
+        let mut full = vec![S::ZERO; m * n];
+        gemm_auto(S::ONE, View::row_major(&a, m, k), bv, S::ZERO, &mut full);
+        for i in [0, 5, MC + 4] {
+            let mut row = vec![S::ZERO; n];
+            gemm_auto(
+                S::ONE,
+                View::row_major(&a[i * k..], 1, k),
+                bv,
+                S::ZERO,
+                &mut row,
+            );
+            assert_bits_eq(&row, &full[i * n..(i + 1) * n], &format!("row {i}, k={k}"));
+        }
+    }
+
+    #[test]
+    fn rows_are_batch_independent() {
+        for &(k, n) in &[(2 * KC + 3, 37), (KC / 2, NC + 9)] {
+            row_independent::<f32>(k, n);
+            row_independent::<f64>(k, n);
+            row_independent::<crate::Bf16>(k, n);
+        }
+    }
+
+    /// Products against a [`PackedB`] are bitwise [`gemm_auto`] on the
+    /// source view, for plain and transposed sources, small and blocked
+    /// shapes crossing every block boundary, at budgets 1 and 2.
+    fn prepacked_matches_auto<S: Scalar>(m: usize, k: usize, n: usize) {
+        let a: Vec<S> = fill(m * k, 61);
+        let b: Vec<S> = fill(k * n, 62);
+        let av = View::row_major(&a, m, k);
+        for bv in [View::row_major(&b, k, n), View::transposed(&b, n, k)] {
+            let packed = PackedB::pack(bv);
+            assert_eq!(packed.len(), PackedB::<S>::len_for(k, n));
+            let mut want = vec![S::from_f64(0.25); m * n];
+            gemm_auto(S::from_f64(1.5), av, bv, S::ONE, &mut want);
+            for threads in [1, 2] {
+                let mut got = vec![S::from_f64(0.25); m * n];
+                ep2_runtime::with_budget(threads, || {
+                    gemm_prepacked(S::from_f64(1.5), av, &packed, S::ONE, &mut got)
+                });
+                assert_bits_eq(&got, &want, &format!("{m}x{k}x{n} at {threads} threads"));
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_matches_per_call_packing_bitwise() {
+        for &(m, k, n) in &[
+            (1, 9, 13),               // small-product shape
+            (1, KC + 5, NC + 7),      // one row, every block boundary
+            (MC + 3, KC + 5, NC + 7), // every block boundary
+            (2 * MC, 2 * KC, NC),     // exact multiples
+        ] {
+            prepacked_matches_auto::<f32>(m, k, n);
+            prepacked_matches_auto::<f64>(m, k, n);
+            prepacked_matches_auto::<crate::Bf16>(m, k, n);
         }
     }
 

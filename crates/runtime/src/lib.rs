@@ -28,6 +28,9 @@
 //!   dispatched to an idle pool worker when one is free, or a dedicated
 //!   runtime-owned thread otherwise — and are always joined before the
 //!   scope returns, panics included.
+//! - **Bounded latency histograms** ([`LatencyHistogram`]): fixed-size,
+//!   log-bucketed sample counts with a stated percentile error, for
+//!   long-running services that must not keep every sample.
 //!
 //! Chunks of a `parallel_for` job execute under a budget of 1 (a chunk is
 //! the unit of parallelism; implicit nested fan-out would oversubscribe),
@@ -39,8 +42,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod faults;
+pub mod histogram;
 mod pool;
 
+pub use histogram::LatencyHistogram;
 pub use pool::{parallel_for, scope, TaskScope};
 
 use std::cell::Cell;

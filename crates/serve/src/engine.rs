@@ -1,25 +1,28 @@
 //! The serving engine: a shared request queue drained by a pool of
 //! batch-executing workers on the unified runtime.
 //!
-//! The model is shared read-only behind an `Arc` — workers never clone the
-//! centers. Every per-request and per-batch buffer (request structs, the
-//! staged input matrix, the kernel panel, the output block) is recycled,
-//! so after warm-up the hot path performs no heap allocation.
+//! The model is shared read-only behind an `Arc`, and packed once at
+//! start-up into the GEMM's panel layout ([`PackedModel`]); all workers
+//! read that one copy, so no micro-batch re-packs the centers or weights.
+//! Every per-request and per-batch buffer (request structs, the staged
+//! input matrix, the kernel panel, the output block) is recycled, and
+//! latencies land in a fixed-size histogram, so after warm-up the hot path
+//! performs no heap allocation.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ep2_core::{KernelModel, PredictBuffers};
+use ep2_core::{KernelModel, PackedModel, PredictBuffers};
 use ep2_device::{MemoryError, MemoryLedger};
 use ep2_linalg::{Matrix, Scalar};
+use ep2_runtime::LatencyHistogram;
 use parking_lot::Mutex;
 use std::sync::Condvar;
 
 use crate::admission::{AdmissionController, Shed};
 use crate::batch::MicroBatcher;
-use crate::metrics::percentile_us;
 use crate::plan::ServePlan;
 
 /// One queued prediction request; pooled and recycled by the engine.
@@ -61,7 +64,9 @@ impl<S> Default for QueueState<S> {
 /// deterministic (it would loop forever) and propagated.
 const MAX_CONSECUTIVE_RECOVERIES: u64 = 8;
 
-/// Counters and latency samples, snapshotted by [`ServeEngine::stats`].
+/// Counters and the latency histogram, snapshotted by
+/// [`ServeEngine::stats`]. Fixed-size: a snapshot costs the same after a
+/// billion requests as after one.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Requests answered with predictions.
@@ -73,13 +78,15 @@ pub struct ServeStats {
     /// Worker panics recovered by requeueing the batch.
     pub recoveries: u64,
     /// End-to-end per-request latencies (enqueue → reply), µs.
-    pub latencies_us: Vec<u64>,
+    pub latency_us: LatencyHistogram,
 }
 
 impl ServeStats {
-    /// Nearest-rank latency percentile over the recorded samples, µs.
+    /// Nearest-rank latency percentile over the served requests, µs,
+    /// within [`LatencyHistogram::RELATIVE_ERROR`] (1/64) of the exact
+    /// sample.
     pub fn percentile_us(&self, p: f64) -> u64 {
-        percentile_us(&self.latencies_us, p)
+        self.latency_us.percentile(p)
     }
 }
 
@@ -88,6 +95,9 @@ impl ServeStats {
 #[derive(Debug)]
 pub struct ServeEngine<S: Scalar> {
     model: Arc<KernelModel<S>>,
+    /// The model packed once under `plan.opts`; every worker predicts
+    /// from it.
+    packed: PackedModel<S>,
     plan: ServePlan,
     batcher: MicroBatcher,
     // The queue pairs a *std* mutex with its condvar (the vendored
@@ -99,28 +109,32 @@ pub struct ServeEngine<S: Scalar> {
     stats: Mutex<ServeStats>,
     consecutive_recoveries: std::sync::atomic::AtomicU64,
     start: Instant,
-    /// Ledger charges for the resident model and every worker's tile
-    /// slots, held for the engine's lifetime.
+    /// Ledger charges for the resident model with its packed panels and
+    /// every worker's tile slots, held for the engine's lifetime.
     _charges: Vec<ep2_device::memory::Allocation>,
 }
 
 impl<S: Scalar> ServeEngine<S> {
-    /// Builds an engine, charging the plan's footprint against `ledger`.
+    /// Builds an engine, charging the plan's footprint against `ledger`,
+    /// then packs the model once under `plan.opts` for all workers to
+    /// share.
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError`] when the resident model plus per-worker
-    /// tiles do not fit the ledger budget.
+    /// Returns [`MemoryError`] when the resident model and its packed
+    /// panels plus per-worker tiles do not fit the ledger budget.
     pub fn new(
         model: Arc<KernelModel<S>>,
         plan: ServePlan,
         ledger: &MemoryLedger,
     ) -> Result<Self, MemoryError> {
         let charges = plan.charge(ledger)?;
+        let packed = model.pack(&plan.opts);
         let batcher = MicroBatcher::new(plan.batch_rows, plan.window_us);
         let admission = AdmissionController::new(plan.latency_budget_us, plan.est_row_us);
         Ok(ServeEngine {
             model,
+            packed,
             plan,
             batcher,
             queue: std::sync::Mutex::new(QueueState::default()),
@@ -143,6 +157,11 @@ impl<S: Scalar> ServeEngine<S> {
         &self.model
     }
 
+    /// The packed copy of the model the workers predict from.
+    pub fn packed(&self) -> &PackedModel<S> {
+        &self.packed
+    }
+
     /// Microseconds since the engine started — the clock all queue
     /// timestamps use.
     pub fn now_us(&self) -> u64 {
@@ -153,7 +172,7 @@ impl<S: Scalar> ServeEngine<S> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Snapshot of the counters and latency samples.
+    /// Snapshot of the counters and the latency histogram.
     pub fn stats(&self) -> ServeStats {
         self.stats.lock().clone()
     }
@@ -288,7 +307,7 @@ impl<S: Scalar> ServeEngine<S> {
             if ep2_runtime::faults::fire_at("serve_worker_panic", seq) {
                 panic!("injected serve worker panic (batch {seq})");
             }
-            self.model.predict_with_into(x, &self.plan.opts, bufs, out);
+            self.packed.predict_into(x, bufs, out);
         }));
         let elapsed = (self.now_us() - t0) as f64;
         use std::sync::atomic::Ordering;
@@ -302,8 +321,9 @@ impl<S: Scalar> ServeEngine<S> {
                 }
                 let mut st = self.stats.lock();
                 st.served += rows as u64;
-                st.latencies_us
-                    .extend(batch.iter().map(|r| now.saturating_sub(r.enq_us)));
+                for req in batch.iter() {
+                    st.latency_us.record(now.saturating_sub(req.enq_us));
+                }
                 drop(st);
                 let mut q = self.lock_queue();
                 for mut req in batch.drain(..) {

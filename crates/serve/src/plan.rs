@@ -45,6 +45,11 @@ pub struct ServePlan {
     /// Ledger slots held for the model lifetime (centers + weights +
     /// center-norm cache), scaled by the precision's slot width.
     pub resident_slots: f64,
+    /// Ledger slots of the packed panels the engine builds once and all
+    /// workers share ([`KernelModel::pack`](ep2_core::KernelModel::pack)):
+    /// centers and weights again, at the GEMM's compute width — f32 for a
+    /// bf16 model. Charged with the resident model.
+    pub packed_slots: f64,
     /// Ledger slots held per worker for its batch tile (kernel panel,
     /// staged input, output block).
     pub per_worker_slots: f64,
@@ -66,7 +71,8 @@ impl ServePlan {
     /// [`PredictOptions::planned`] over the slots left after the resident
     /// model, and the per-row time seed is the SGD row cost at the
     /// sustained rate. bf16 models hold half the resident slots of f32
-    /// (`slot_factor = 0.5`), so the same card serves twice the centers.
+    /// (`slot_factor = 0.5`), but their packed panels are f32-wide, so the
+    /// whole footprint does not halve.
     pub fn plan(
         n: usize,
         d: usize,
@@ -103,9 +109,13 @@ impl ServePlan {
         let row_cost = cost::sgd(&saturating).compute_ops.max(1.0);
         let capacity_rows = ((spec.parallel_capacity / row_cost) as usize).max(1);
 
-        // Memory cap: plan the blocking out of what the resident set
-        // leaves, split across workers.
-        let free = (spec.memory_floats - resident_slots).max(0.0) / workers as f64;
+        // Memory cap: plan the blocking out of what the resident set and
+        // its packed panels leave, split across workers. The panels are
+        // sized for full-width tiles here; a tiled plan pads each tile to
+        // the microkernel width, a few columns per tile more, which the
+        // ledger audits.
+        let untiled_packed = PredictOptions::new().packed_slots(n, d, l, precision);
+        let free = (spec.memory_floats - resident_slots - untiled_packed).max(0.0) / workers as f64;
         let planned = PredictOptions::planned(n, d, l, free, precision);
         let batch_rows = config
             .batch_rows
@@ -116,6 +126,7 @@ impl ServePlan {
             ..planned
         };
         let per_worker_slots = opts.transient_slots(n, d, l, precision);
+        let packed_slots = opts.packed_slots(n, d, l, precision);
 
         let window_us = config.window_us.unwrap_or(DEFAULT_WINDOW_US);
         let latency_budget_us = config.latency_budget_us.unwrap_or_else(|| {
@@ -129,6 +140,7 @@ impl ServePlan {
             workers,
             worker_threads,
             resident_slots,
+            packed_slots,
             per_worker_slots,
             latency_budget_us,
             window_us,
@@ -136,8 +148,9 @@ impl ServePlan {
         }
     }
 
-    /// Charges the plan's full footprint — resident model plus every
-    /// worker's tile slots — against `ledger`, returning the RAII guards.
+    /// Charges the plan's full footprint — resident model with its packed
+    /// panels, plus every worker's tile slots — against `ledger`, returning
+    /// the RAII guards.
     ///
     /// # Errors
     ///
@@ -147,7 +160,7 @@ impl ServePlan {
         &self,
         ledger: &MemoryLedger,
     ) -> Result<Vec<ep2_device::memory::Allocation>, MemoryError> {
-        let mut guards = vec![ledger.alloc(self.resident_slots)?];
+        let mut guards = vec![ledger.alloc(self.resident_slots + self.packed_slots)?];
         for _ in 0..self.workers {
             guards.push(ledger.alloc(self.per_worker_slots)?);
         }

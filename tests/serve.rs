@@ -1,7 +1,8 @@
 //! Serving-path integration tests: micro-batch formation under bursty
 //! arrival (simulated clock — no sleeps), admission shedding at
 //! over-budget load, bit-for-bit parity between served and offline
-//! predictions at every precision, and worker-panic self-healing.
+//! predictions at every precision (whatever batch a row rides in), the
+//! packed panels' ledger charge, and worker-panic self-healing.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -196,6 +197,122 @@ fn served_equals_offline_bitwise_bf16() {
     if precision_selected(Precision::Bf16) {
         served_matches_offline_bitwise::<eigenpro2::linalg::Bf16>(Precision::Bf16);
     }
+}
+
+/// A model whose kernel values stay well inside (0, 1) at dimension `d`.
+fn spread_model<S: Scalar>(n: usize, d: usize, l: usize) -> Arc<KernelModel<S>> {
+    let sigma = (d as f64).sqrt() * 0.5;
+    let kernel: Arc<dyn Kernel<S>> = Arc::new(GaussianKernel::new(sigma));
+    let centers = Matrix::from_fn(n, d, |i, j| {
+        S::from_f64(((i * 31 + j * 17) % 23) as f64 * 0.07)
+    });
+    let weights = Matrix::from_fn(n, l, |i, j| {
+        S::from_f64(((i * 7 + j) % 11) as f64 * 0.2 - 1.0)
+    });
+    Arc::new(KernelModel::from_weights(kernel, centers, weights))
+}
+
+/// Serves `x` through an engine capped at `batch_rows` rows per batch,
+/// with no batching window (and no shedding), so each request rides in a
+/// batch of at most `batch_rows`; returns the replies in row order.
+fn serve_capped<S: Scalar>(
+    model: &Arc<KernelModel<S>>,
+    x: &Matrix<S>,
+    batch_rows: usize,
+    window_us: u64,
+    precision: Precision,
+) -> Vec<Vec<S>> {
+    let config = ServeConfig {
+        batch_rows: Some(batch_rows),
+        window_us: Some(window_us),
+        latency_budget_us: Some(u64::MAX / 2),
+        workers: Some(1),
+    };
+    let engine = engine_with(model.clone(), &config, precision);
+    let replies = serve_rows(&engine, x);
+    (0..x.rows())
+        .map(|i| replies[&format!("r{i}")].clone())
+        .collect()
+}
+
+/// A row's reply is bitwise the offline prediction of that row, whether it
+/// is served alone (a batch of one) or inside a larger batch.
+fn rows_independent_of_batch<S: Scalar>(precision: Precision, n: usize, d: usize) {
+    let _g = lock();
+    let (l, k) = (6, 40);
+    let model = spread_model::<S>(n, d, l);
+    let x = Matrix::from_fn(k, d, |i, j| {
+        S::from_f64(((i * 13 + j * 5) % 19) as f64 * 0.08)
+    });
+    let alone = serve_capped(&model, &x, 1, 0, precision);
+    let together = serve_capped(&model, &x, k, 5_000_000, precision);
+    let offline = model.predict_with(&x, &eigenpro2::core::PredictOptions::new().block_rows(k));
+    let mut differing = Vec::new();
+    for i in 0..k {
+        let bits = |v: &[S]| v.iter().map(|s| s.to_f64().to_bits()).collect::<Vec<_>>();
+        let want = bits(offline.row(i));
+        if bits(&alone[i]) != want || bits(&together[i]) != want {
+            differing.push(i);
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "{} n={n} d={d}: rows {differing:?} of {k} depend on their batch",
+        S::NAME
+    );
+}
+
+#[test]
+fn served_rows_do_not_depend_on_their_batch() {
+    // n=3000, d=18: a lone row's products fall under the small-product
+    // threshold while the batch's do not. n=700, d=300: the assembly spans
+    // two KC slabs, so bf16 storage rounds between them, and a lone row's
+    // weight product is a small one.
+    for (n, d) in [(3000, 18), (700, 300)] {
+        if precision_selected(Precision::F32) {
+            rows_independent_of_batch::<f32>(Precision::F32, n, d);
+        }
+        if precision_selected(Precision::F64) {
+            rows_independent_of_batch::<f64>(Precision::F64, n, d);
+        }
+        if precision_selected(Precision::Bf16) {
+            rows_independent_of_batch::<eigenpro2::linalg::Bf16>(Precision::Bf16, n, d);
+        }
+    }
+}
+
+/// The engine's ledger charge holds the packed panels it built, at the
+/// GEMM's compute width, alongside the resident model.
+fn ledger_charges_packed_panels<S: Scalar>(precision: Precision, compute_slot: f64) {
+    let _g = lock();
+    let (n, d, l) = (900, 40, 6);
+    let spec = ResourceSpec::scaled_virtual_gpu();
+    let plan = ServePlan::plan(n, d, l, &spec, precision, &ServeConfig::default());
+    let ledger = MemoryLedger::new(spec.memory_floats);
+    let engine = ServeEngine::new(spread_model::<S>(n, d, l), plan.clone(), &ledger)
+        .expect("serve plan fits the ledger");
+    let packed = engine.packed();
+    assert!(!packed.is_empty());
+    assert_eq!(packed.slots(), packed.len() as f64 * compute_slot);
+    assert_eq!(plan.packed_slots, packed.slots());
+    let footprint =
+        plan.resident_slots + plan.packed_slots + plan.workers as f64 * plan.per_worker_slots;
+    assert!(
+        (ledger.in_use() - footprint).abs() <= 1e-9 * footprint,
+        "{}: ledger holds {} slots, footprint is {footprint}",
+        S::NAME,
+        ledger.in_use()
+    );
+    drop(engine);
+    assert_eq!(ledger.in_use(), 0.0);
+}
+
+#[test]
+fn engine_charges_packed_panels_at_compute_width() {
+    ledger_charges_packed_panels::<f32>(Precision::F32, 1.0);
+    ledger_charges_packed_panels::<f64>(Precision::F64, 2.0);
+    // bf16 panels are f32-wide: a full slot per element, not half.
+    ledger_charges_packed_panels::<eigenpro2::linalg::Bf16>(Precision::Bf16, 1.0);
 }
 
 #[test]
