@@ -59,7 +59,10 @@ plan/train options:
   --producers <int>   streamed tile-assembly producer tasks (default: the
                       cost-model partition of the EP2_THREADS budget between
                       assembly and the update GEMM; the EP2_STREAM_PRODUCERS
-                      env var survives as a deprecated override)
+                      env var survives as a deprecated override). An explicit
+                      p runs p producers on a (p + 1)-tile ring at any
+                      budget, adding threads past EP2_THREADS if it must;
+                      a ring that does not fit is refused
   --epochs <int>      epoch cap for train            (default 10)
   --test-frac <f64>   held-out fraction for train    (default 0.2)
   --no-early-stop     disable validation early stopping

@@ -155,7 +155,14 @@ pub fn plan<S: Scalar>(
 /// — including the fitted `s`/`q` setup terms), with `producers_override`
 /// (the `--producers` flag or the deprecated `EP2_STREAM_PRODUCERS` env
 /// var) pinning the producer count; producers are clamped to the ring
-/// depth minus one, the pipeline's liveness bound.
+/// depth minus one, the pipeline's liveness bound, and to nothing else. An
+/// explicit count `p` that leaves no thread for the update on a
+/// multi-thread budget (`p ≥ threads ≥ 2`) is partitioned over `p + 1`
+/// threads instead, so [`StreamThreadPlan::total`] then exceeds
+/// [`AutoParams::threads`]. A `splan` from
+/// [`batch::max_batch_streamed_planned`] already has the `p + 1`-slot ring;
+/// without an explicit count that function may have fallen back to the
+/// double-buffered ring, which caps the planned producers at one.
 ///
 /// # Errors
 ///
@@ -196,12 +203,14 @@ pub fn plan_streamed<S: Scalar>(
         q: params.adjusted_q,
     };
     let max_producers = splan.tiles_in_flight.saturating_sub(1).max(1);
-    let mut tp = cost::partition_stream_threads(
-        &shape,
-        splan.n_tile,
-        params.threads,
-        producers_override.map(|p| p.clamp(1, max_producers)),
-    );
+    let requested = producers_override.map(|p| p.clamp(1, max_producers));
+    // An explicit count is honoured, not clamped to the budget: partition
+    // at least `p + 1` threads so the update keeps one of its own.
+    let total = match requested {
+        Some(p) if params.threads > 1 => params.threads.max(p + 1),
+        _ => params.threads,
+    };
+    let mut tp = cost::partition_stream_threads(&shape, splan.n_tile, total, requested);
     if tp.producers > max_producers {
         // The refined (s/q-aware) partition wants more producers than the
         // ring admits: re-partition with the ring bound pinned, so the
@@ -463,6 +472,39 @@ mod tests {
             1
         )
         .is_err());
+    }
+
+    #[test]
+    fn explicit_producer_count_is_honoured_at_every_budget() {
+        // A 3-tile ring admits two producers. An explicit `Some(2)` runs
+        // both at every budget: at budget 2 the partition grows to
+        // 2 producers + 1 update thread instead of clamping to one producer.
+        let x = clustered_data(400, 8, 3);
+        let device = ResourceSpec::scaled_virtual_gpu();
+        let splan =
+            batch::max_batch_streamed(&device, 400, 8, 10, Precision::F64, 3, None).unwrap();
+        for (budget, total) in [(1, 1), (2, 3), (4, 4)] {
+            let (params, _) = ep2_runtime::with_budget(budget, || {
+                plan_streamed(
+                    &kernel(),
+                    &x,
+                    10,
+                    &device,
+                    Some(100),
+                    None,
+                    &splan,
+                    Some(2),
+                    Precision::F64,
+                    7,
+                )
+                .unwrap()
+            });
+            assert_eq!(params.threads, budget);
+            let tp = params.stream_threads.unwrap();
+            assert_eq!(tp.producers, 2, "budget={budget}");
+            assert_eq!(tp.total, total, "budget={budget}");
+            assert!(tp.update_threads >= 1);
+        }
     }
 
     #[test]

@@ -148,8 +148,12 @@ pub struct TrainConfig {
     /// `None` (the default) lets `autotune::plan_streamed` partition the
     /// thread budget between assembly and the update GEMM via the
     /// `device::cost` overlap model; the deprecated `EP2_STREAM_PRODUCERS`
-    /// env var is honoured beneath an explicit setting. Clamped to the ring
-    /// depth minus one (the pipeline's liveness bound).
+    /// env var is honoured beneath an explicit setting. `Some(p)` runs `p`
+    /// producers at every thread budget: the ring is sized to `p + 1`
+    /// slots (the pipeline's liveness bound), and a `p` that leaves no
+    /// thread for the update GEMM oversubscribes the budget rather than
+    /// being clamped. A ring that does not fit the device fails the fit
+    /// with [`CoreError::DeviceMemory`].
     pub stream_producers: Option<usize>,
     /// RNG seed (subsampling + batch shuffling).
     pub seed: u64,

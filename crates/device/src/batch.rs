@@ -325,13 +325,18 @@ pub fn max_batch_streamed(
 /// re-plan with a deeper ring only when the partition actually wants more
 /// producers than the ring admits. Wide tiles therefore keep the PR 3
 /// double-buffered ring on any core count; only genuinely multi-producer
-/// pipelines pay for extra slots. An explicit `producers_override` (CLI
-/// flag / config / deprecated env var) sizes the ring to `override + 1`
-/// directly.
+/// pipelines pay for extra slots. The deeper ring is only a preference:
+/// when it does not fit the device, the double-buffered plan already found
+/// is returned (the producer count is capped at the ring depth minus one
+/// downstream). An explicit `producers_override` (CLI flag / config /
+/// deprecated env var) sizes the ring to `override + 1` directly, at every
+/// `total_threads` — the count is honoured, never clamped to the budget.
 ///
 /// # Errors
 ///
-/// Same conditions as [`max_batch_streamed`].
+/// Same conditions as [`max_batch_streamed`]; with an explicit
+/// `producers_override`, also when its `override + 1`-slot ring does not
+/// fit.
 ///
 /// # Panics
 ///
@@ -350,15 +355,7 @@ pub fn max_batch_streamed_planned(
     total_threads: usize,
 ) -> Result<StreamedBatchPlan, MemoryError> {
     if let Some(p) = producers_override {
-        // Mirror `partition_stream_threads`' budget clamp (producers +
-        // consumer ≤ total on a multi-thread budget) so the ring is sized
-        // for the producer count that will actually run.
-        let p = if total_threads > 1 {
-            p.clamp(1, total_threads - 1)
-        } else {
-            p.max(1)
-        };
-        let tif = DEFAULT_TILES_IN_FLIGHT.max(p + 1);
+        let tif = DEFAULT_TILES_IN_FLIGHT.max(p.max(1) + 1);
         return max_batch_streamed(spec, n, d, l, precision, tif, m_override);
     }
     let splan = max_batch_streamed(
@@ -381,7 +378,9 @@ pub fn max_batch_streamed_planned(
     let planned =
         crate::cost::partition_stream_threads(&shape, splan.n_tile, total_threads, None).producers;
     if planned + 1 > splan.tiles_in_flight {
-        return max_batch_streamed(spec, n, d, l, precision, planned + 1, m_override);
+        if let Ok(deeper) = max_batch_streamed(spec, n, d, l, precision, planned + 1, m_override) {
+            return Ok(deeper);
+        }
     }
     Ok(splan)
 }
@@ -418,6 +417,64 @@ mod tests {
         let p = max_batch_streamed_planned(&spec, 3_000, 440, 10, Precision::F64, None, Some(3), 4)
             .unwrap();
         assert_eq!(p.tiles_in_flight, 4);
+    }
+
+    #[test]
+    fn explicit_producer_count_sizes_the_ring_at_every_budget() {
+        // `Some(p)` is honoured, not clamped to `total_threads - 1`: the
+        // ring holds `p + 1` tiles whatever the thread budget.
+        let spec = ResourceSpec::scaled_virtual_gpu();
+        for total in [1usize, 2, 3, 8] {
+            let p = max_batch_streamed_planned(
+                &spec,
+                3_000,
+                440,
+                10,
+                Precision::F64,
+                None,
+                Some(2),
+                total,
+            )
+            .unwrap();
+            assert_eq!(p.tiles_in_flight, 3, "total={total}");
+        }
+    }
+
+    #[test]
+    fn planned_ring_falls_back_to_double_buffering_when_deeper_does_not_fit() {
+        // m pinned at n = 200 leaves room for one 8-column tile pair. The
+        // partition wants several producers for a tile that narrow at
+        // budgets 4 and 8, but their deeper ring does not fit: the
+        // double-buffered plan is kept instead of failing.
+        let tiny = ResourceSpec::new("tiny-mem", 1e12, 350_000.0, 1e12, 0.0);
+        for total in [4usize, 8] {
+            let p = max_batch_streamed_planned(
+                &tiny,
+                200,
+                784,
+                10,
+                Precision::F64,
+                Some(200),
+                None,
+                total,
+            )
+            .unwrap();
+            assert_eq!(p.tiles_in_flight, DEFAULT_TILES_IN_FLIGHT, "total={total}");
+            assert_eq!(p.m, 200);
+        }
+        // An explicit count gets no such fallback: its 4-tile ring does
+        // not fit, so the plan is refused.
+        assert!(max_batch_streamed_planned(
+            &tiny,
+            200,
+            784,
+            10,
+            Precision::F64,
+            Some(200),
+            Some(3),
+            4
+        )
+        .is_err());
     }
 
     #[test]

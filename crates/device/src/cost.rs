@@ -161,7 +161,9 @@ pub fn streamed_eigenpro(shape: &ProblemShape, n_tile: usize) -> StreamedCost {
 /// engine, so every hot path is accountable to the same budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamThreadPlan {
-    /// The whole budget (the runtime's resolved thread count).
+    /// The whole budget: the runtime's resolved thread count, or more when
+    /// an explicit producer count asks for more (`autotune::plan_streamed`
+    /// honours `p` producers plus the update thread past the budget).
     pub total: usize,
     /// Tile-assembly producer tasks.
     pub producers: usize,
