@@ -950,7 +950,105 @@ fn bench_serve(_c: &mut Criterion) {
         &mut records,
     );
     serve_predict_rows(smoke, &mut records);
+    serve_fit(smoke, &mut records);
     write_serve_json(&records);
+}
+
+/// The admission fit against measurement, on the 4800×440×144 f64 shape
+/// `serve-open` serves under the default plan: the engine takes the
+/// benchmark's warm-up (a burst of cap + 1 rows, each retried while shed),
+/// drains it, then takes single rows paced at 1000/s. Its fitted
+/// `a + b·rows` at one row and at the cap is recorded next to the packed
+/// predict measured at those sizes under the worker's thread budget
+/// (minimum over samples).
+fn serve_fit(smoke: bool, records: &mut Vec<String>) {
+    let (n, d, l) = if smoke {
+        (300, 12, 3)
+    } else {
+        (4_800, 440, 144)
+    };
+    let kernel: Arc<dyn Kernel> = Arc::new(GaussianKernel::new(8.0));
+    let model = Arc::new(KernelModel::from_weights(
+        kernel,
+        lcg_matrix(n, d, 0x5e21),
+        lcg_matrix(n, l, 0x77aa),
+    ));
+    let spec = ResourceSpec::scaled_virtual_gpu();
+    let plan = ep2_serve::ServePlan::plan(
+        n,
+        d,
+        l,
+        &spec,
+        ep2_device::Precision::F64,
+        &ep2_serve::ServeConfig::default(),
+    );
+    let ledger = ep2_device::MemoryLedger::new(spec.memory_floats);
+    let engine =
+        ep2_serve::ServeEngine::new(model, plan.clone(), &ledger).expect("bench plan fits");
+    let cap = plan.batch_rows;
+    let rows = lcg_matrix(256, d, 0x11ee);
+    let sink = |_id: &str, out: &[f64]| {
+        std::hint::black_box(out);
+    };
+    let paced = if smoke { 50 } else { 2_000 };
+    engine.run(&sink, || {
+        for i in 0..=cap {
+            while engine.submit("w", rows.row(i % rows.rows())).is_err() {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+        }
+        while engine.stats().served <= cap as u64 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let t0 = std::time::Instant::now();
+        for i in 0..paced {
+            let due = std::time::Duration::from_millis(i as u64);
+            if let Some(wait) = due.checked_sub(t0.elapsed()) {
+                std::thread::sleep(wait);
+            }
+            let _ = engine.submit("p", rows.row(i % rows.rows()));
+        }
+    });
+    let st = engine.stats();
+    let (est_one_ms, est_cap_ms) = (st.est_batch_us(1) / 1e3, st.est_batch_us(cap) / 1e3);
+
+    let packed = engine.packed();
+    let (one_ms, cap_ms) = ep2_runtime::with_budget(plan.worker_threads, || {
+        let mut bufs = ep2_core::PredictBuffers::new();
+        let mut time_rows = |r: usize, reps: usize| {
+            let x = lcg_matrix(r, d, 0x3c3c);
+            let mut o = Matrix::zeros(r, l);
+            time_min(reps, || packed.predict_into(&x, &mut bufs, &mut o)) * 1e3
+        };
+        let one = time_rows(1, if smoke { 2 } else { 20 });
+        (one, time_rows(cap, if smoke { 1 } else { 3 }))
+    });
+    let (one_ratio, cap_ratio) = (est_one_ms / one_ms, est_cap_ms / cap_ms);
+    println!(
+        "bench serve_fit/{n}x{d}x{l} f64 cap={cap}  a {:.1} us  b {:.2} us/row  \
+         est one {est_one_ms:.3} ms vs {one_ms:.3} ms ({one_ratio:.2}x)  \
+         est cap {est_cap_ms:.1} ms vs {cap_ms:.1} ms ({cap_ratio:.2}x)  \
+         mean batch {:.2} rows in {:.3} ms",
+        st.a_us,
+        st.b_us,
+        st.batch_rows,
+        st.batch_us / 1e3
+    );
+    records.push(format!(
+        "    {{\"op\": \"serve_fit\", \"precision\": \"f64\", \
+         \"n\": {n}, \"d\": {d}, \"l\": {l}, \"cap\": {cap}, \
+         \"threads\": {}, \"batches\": {}, \"mean_batch_rows\": {:.2}, \
+         \"mean_batch_ms\": {:.4}, \"a_us\": {:.1}, \"b_us\": {:.3}, \
+         \"est_one_ms\": {est_one_ms:.4}, \"measured_one_ms\": {one_ms:.4}, \
+         \"one_ratio\": {one_ratio:.3}, \"est_cap_ms\": {est_cap_ms:.3}, \
+         \"measured_cap_ms\": {cap_ms:.3}, \"cap_ratio\": {cap_ratio:.3}}}",
+        plan.worker_threads,
+        st.batches,
+        st.batch_rows,
+        st.batch_us / 1e3,
+        st.a_us,
+        st.b_us,
+    ));
 }
 
 /// The serving predict, before and after packing once: a worker's
@@ -1027,7 +1125,6 @@ fn serve_bench_leg<S: ep2_linalg::Scalar>(
     // Calibrate: drain throughput at the planned batch cap, burst-fed.
     let burst_config = ep2_serve::ServeConfig {
         latency_budget_us: Some(u64::MAX / 2),
-        window_us: Some(0),
         workers: Some(1),
         ..Default::default()
     };
@@ -1087,7 +1184,6 @@ fn serve_bench_leg<S: ep2_linalg::Scalar>(
             precision,
             &ep2_serve::ServeConfig {
                 batch_rows: Some(cap),
-                window_us: Some(0),
                 latency_budget_us: Some(u64::MAX / 2),
                 workers: Some(1),
             },

@@ -62,7 +62,9 @@ plan/train options:
                       env var survives as a deprecated override). An explicit
                       p runs p producers on a (p + 1)-tile ring at any
                       budget, adding threads past EP2_THREADS if it must;
-                      a ring that does not fit is refused
+                      a ring that does not fit is refused, and so is one
+                      that fits only at a smaller batch than the
+                      double-buffered plan's unless --batch pins it
   --epochs <int>      epoch cap for train            (default 10)
   --test-frac <f64>   held-out fraction for train    (default 0.2)
   --no-early-stop     disable validation early stopping
@@ -92,10 +94,15 @@ serve:
                             model was trained under (bf16 halves the
                             resident slots the ledger charges)
   --batch-rows <int>        micro-batch row cap (default: derived from the
-                            device capacity C_G and the memory plan)
-  --window-us <int>         batching window in microseconds (default 2000)
-  --latency-budget-us <int> admission latency budget; requests whose
-                            estimated wait exceeds it get a `busy` reply
+                            device capacity C_G and the memory plan); a
+                            free worker takes every queued row up to the
+                            cap at once, so batches grow only while all
+                            workers are busy
+  --latency-budget-us <int> admission latency budget; a batch of r rows is
+                            priced a + b*r (fitted online from measured
+                            batches), and a request whose wait behind the
+                            queue's batches exceeds the budget gets a
+                            `busy` reply
   --workers <int>           batch-executing workers (default 2)
   protocol, one request per line on stdin:
     predict <id> <v1,v2,...>  ->  ok <id> <y1,...>  |  busy <id> <wait> <budget>
@@ -410,6 +417,13 @@ fn serve_model(parsed: &Parsed) -> Result<(), String> {
             parsed.positionals[1]
         ));
     }
+    if parsed.options.contains_key("window-us") {
+        return Err(
+            "--window-us is gone: a free worker takes the queued rows at once, \
+                    so batches grow only while every worker is busy"
+                .to_string(),
+        );
+    }
     let mut model = ep2_core::persist::load_any(path).map_err(|e| e.to_string())?;
     if let Some(name) = parsed.options.get("precision") {
         model = model.to_precision(name.parse()?);
@@ -417,7 +431,6 @@ fn serve_model(parsed: &Parsed) -> Result<(), String> {
     let device = load_device(parsed)?;
     let config = ep2_serve::ServeConfig {
         batch_rows: parsed.get_opt("batch-rows")?,
-        window_us: parsed.get_opt("window-us")?,
         latency_budget_us: parsed.get_opt("latency-budget-us")?,
         workers: parsed.get_opt("workers")?,
     };
@@ -450,13 +463,12 @@ fn serve_typed<S: ep2_linalg::Scalar>(
     let plan = engine.plan();
     // The banner goes to stderr: stdout carries only protocol responses.
     eprintln!(
-        "serving {} centers at {} on {} | batch <= {} rows, window {} us, \
+        "serving {} centers at {} on {} | batch <= {} rows, \
          latency budget {} us, {} worker(s) x {} thread(s)",
         engine.model().n_centers(),
         precision,
         device.name,
         plan.batch_rows,
-        plan.window_us,
         plan.latency_budget_us,
         plan.workers,
         plan.worker_threads,
@@ -707,6 +719,12 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(run(&parsed(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn serve_refuses_the_removed_window() {
+        let err = run(&parsed(&["serve", "m.ep2", "--window-us", "2000"])).unwrap_err();
+        assert!(err.contains("--window-us"), "{err}");
     }
 
     #[test]

@@ -152,8 +152,10 @@ pub struct TrainConfig {
     /// producers at every thread budget: the ring is sized to `p + 1`
     /// slots (the pipeline's liveness bound), and a `p` that leaves no
     /// thread for the update GEMM oversubscribes the budget rather than
-    /// being clamped. A ring that does not fit the device fails the fit
-    /// with [`CoreError::DeviceMemory`].
+    /// being clamped. A ring that does not fit the device, or that fits
+    /// only at a smaller mini-batch than the double-buffered plan's while
+    /// `batch_size` is unset, fails the fit with
+    /// [`CoreError::DeviceMemory`].
     pub stream_producers: Option<usize>,
     /// RNG seed (subsampling + batch shuffling).
     pub seed: u64,

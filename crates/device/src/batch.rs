@@ -311,6 +311,51 @@ pub fn max_batch_streamed(
     }
 }
 
+/// Why [`max_batch_streamed_planned`] refused to plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamPlanError {
+    /// No `(m, n_tile)` fits the device (see [`max_batch_streamed`]).
+    Memory(MemoryError),
+    /// An explicit producer count's `producers + 1`-tile ring fits only at
+    /// a smaller mini-batch than the double-buffered plan's: honouring the
+    /// count would silently give up the Step-1 batch, and with it η.
+    ProducersShrinkBatch {
+        /// The explicit producer count.
+        producers: usize,
+        /// The batch its ring fits at.
+        m: usize,
+        /// The double-buffered plan's batch.
+        double_buffered_m: usize,
+    },
+}
+
+impl fmt::Display for StreamPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamPlanError::Memory(e) => e.fmt(f),
+            StreamPlanError::ProducersShrinkBatch {
+                producers,
+                m,
+                double_buffered_m,
+            } => write!(
+                f,
+                "{producers} producer(s) need a {}-tile ring, which fits only at m = {m}, \
+                 below the double-buffered plan's m = {double_buffered_m}; ask for fewer \
+                 producers, or pin the batch to accept m = {m}",
+                producers + 1
+            ),
+        }
+    }
+}
+
+impl std::error::Error for StreamPlanError {}
+
+impl From<MemoryError> for StreamPlanError {
+    fn from(e: MemoryError) -> Self {
+        StreamPlanError::Memory(e)
+    }
+}
+
 /// [`max_batch_streamed`] with the ring depth chosen to fit the pipeline's
 /// *planned* producer count — the single entry point `ep2 plan` and the
 /// trainer share, so both always agree on the tiling.
@@ -330,13 +375,18 @@ pub fn max_batch_streamed(
 /// is returned (the producer count is capped at the ring depth minus one
 /// downstream). An explicit `producers_override` (CLI flag / config /
 /// deprecated env var) sizes the ring to `override + 1` directly, at every
-/// `total_threads` — the count is honoured, never clamped to the budget.
+/// `total_threads` — the count is honoured, never clamped to the budget,
+/// and never bought with a smaller batch: unless `m_override` pins `m`, a
+/// ring that fits only at a smaller `m` than the double-buffered plan's is
+/// refused.
 ///
 /// # Errors
 ///
-/// Same conditions as [`max_batch_streamed`]; with an explicit
-/// `producers_override`, also when its `override + 1`-slot ring does not
-/// fit.
+/// [`StreamPlanError::Memory`] under the same conditions as
+/// [`max_batch_streamed`]; with an explicit `producers_override`, also
+/// when its `override + 1`-slot ring does not fit, and
+/// [`StreamPlanError::ProducersShrinkBatch`] when it fits only at a
+/// smaller `m` than double buffering.
 ///
 /// # Panics
 ///
@@ -353,10 +403,22 @@ pub fn max_batch_streamed_planned(
     m_override: Option<usize>,
     producers_override: Option<usize>,
     total_threads: usize,
-) -> Result<StreamedBatchPlan, MemoryError> {
+) -> Result<StreamedBatchPlan, StreamPlanError> {
     if let Some(p) = producers_override {
         let tif = DEFAULT_TILES_IN_FLIGHT.max(p.max(1) + 1);
-        return max_batch_streamed(spec, n, d, l, precision, tif, m_override);
+        let plan = max_batch_streamed(spec, n, d, l, precision, tif, m_override)?;
+        if m_override.is_none() && tif > DEFAULT_TILES_IN_FLIGHT {
+            let double =
+                max_batch_streamed(spec, n, d, l, precision, DEFAULT_TILES_IN_FLIGHT, None)?;
+            if plan.m < double.m {
+                return Err(StreamPlanError::ProducersShrinkBatch {
+                    producers: p,
+                    m: plan.m,
+                    double_buffered_m: double.m,
+                });
+            }
+        }
+        return Ok(plan);
     }
     let splan = max_batch_streamed(
         spec,
@@ -438,6 +500,54 @@ mod tests {
             .unwrap();
             assert_eq!(p.tiles_in_flight, 3, "total={total}");
         }
+    }
+
+    #[test]
+    fn explicit_producer_count_that_shrinks_the_batch_is_refused() {
+        // `ep2 plan --dataset mnist-like --n 2000 --sg 800000`: double
+        // buffering plans m = 250; the rings of 2 and 40 producers fit
+        // only at m = 125 and m = 1.
+        let mut spec = ResourceSpec::scaled_virtual_gpu();
+        spec.memory_floats = 800_000.0;
+        let plan = |producers, m| {
+            max_batch_streamed_planned(&spec, 2_000, 784, 10, Precision::F64, m, producers, 2)
+        };
+        assert_eq!(plan(None, None).unwrap().m, 250);
+        for (p, m) in [(2, 125), (40, 1)] {
+            let err = plan(Some(p), None).unwrap_err();
+            assert_eq!(
+                err,
+                StreamPlanError::ProducersShrinkBatch {
+                    producers: p,
+                    m,
+                    double_buffered_m: 250
+                }
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{p} producer(s)")), "{msg}");
+            assert!(msg.contains(&format!("m = {m},")), "{msg}");
+            assert!(msg.contains("m = 250"), "{msg}");
+        }
+        // A pinned batch is honoured as before: the caller chose it.
+        let pinned = plan(Some(2), Some(125)).unwrap();
+        assert_eq!((pinned.m, pinned.tiles_in_flight), (125, 3));
+    }
+
+    #[test]
+    fn explicit_producer_count_that_keeps_the_batch_plans_as_before() {
+        // `ep2 plan --dataset susy-like --n 3000 --out-of-core --producers
+        // 2`: the 3-tile ring fits at the double-buffered plan's m.
+        let spec = ResourceSpec::scaled_virtual_gpu();
+        let planned =
+            max_batch_streamed_planned(&spec, 3_000, 18, 2, Precision::F64, None, Some(2), 2)
+                .unwrap();
+        let double = max_batch_streamed(&spec, 3_000, 18, 2, Precision::F64, 2, None).unwrap();
+        assert_eq!(planned.m, double.m);
+        assert_eq!(
+            planned,
+            max_batch_streamed(&spec, 3_000, 18, 2, Precision::F64, 3, None).unwrap()
+        );
+        assert_eq!(planned.tiles_in_flight, 3);
     }
 
     #[test]

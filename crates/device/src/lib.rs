@@ -46,7 +46,7 @@ mod precision;
 mod spec;
 pub mod timing;
 
-pub use batch::{ResidencyMode, StreamedBatchPlan};
+pub use batch::{ResidencyMode, StreamPlanError, StreamedBatchPlan};
 pub use cluster::ClusterSpec;
 pub use memory::{MemoryError, MemoryLedger};
 pub use precision::Precision;

@@ -1,60 +1,38 @@
 //! Micro-batch formation policy.
 //!
 //! The batcher is deliberately *pure*: it owns no queue and reads no clock.
-//! Callers feed it the observable state — queue depth, enqueue time of the
-//! oldest request, current time — and it answers "form a batch now, of this
-//! many rows, or keep waiting". That makes bursty-arrival behaviour
-//! testable with a simulated clock (no sleeps, no flakes), and the engine's
-//! worker loop trivially correct: it only has to report state honestly.
+//! A worker that is free asks it how many of the queued rows to take, so
+//! batch formation is testable with a simulated clock (no sleeps, no
+//! flakes), and the engine's worker loop only has to report the queue
+//! depth honestly.
 
-/// When to cut a micro-batch: at `max_rows` queued, or when the oldest
-/// waiting request has aged past `window_us`.
+/// Work-conserving batch cut: a free worker takes `min(queued, max_rows)`
+/// rows at once.
 ///
-/// The two limits trade throughput against tail latency. A full batch
-/// amortises the kernel evaluation best; the window bounds how long a lone
-/// request in a quiet period can be held hostage waiting for company.
+/// No request waits while a worker is free, and batches grow only while
+/// every worker is busy: the rows that arrive during one batch are the next
+/// batch. Holding a lone request for company would only idle a worker; a
+/// batch of `r` rows costs about `a + b·r` (the packed-model stream plus
+/// the rows' compute), so waiting saves nothing that the next free worker
+/// does not already amortise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroBatcher {
     /// Largest batch the plan allows (memory- and capacity-bounded).
     pub max_rows: usize,
-    /// Longest the oldest request may wait before a partial batch is cut,
-    /// in microseconds.
-    pub window_us: u64,
 }
 
 impl MicroBatcher {
     /// Creates a batcher; `max_rows` is clamped to at least 1.
-    pub fn new(max_rows: usize, window_us: u64) -> Self {
+    pub fn new(max_rows: usize) -> Self {
         MicroBatcher {
             max_rows: max_rows.max(1),
-            window_us,
         }
     }
 
-    /// Decides whether a batch should be cut *now*.
-    ///
-    /// `depth` is the number of queued requests, `oldest_enq_us` the
-    /// enqueue timestamp of the front request, `now_us` the current clock —
-    /// both in microseconds on any common monotonic origin. Returns
-    /// `Some(rows)` (how many rows to take, `min(depth, max_rows)`) when
-    /// either trigger fires, `None` while waiting is still profitable.
-    pub fn ready(&self, depth: usize, oldest_enq_us: u64, now_us: u64) -> Option<usize> {
-        if depth == 0 {
-            return None;
-        }
-        if depth >= self.max_rows || now_us.saturating_sub(oldest_enq_us) >= self.window_us {
-            Some(depth.min(self.max_rows))
-        } else {
-            None
-        }
-    }
-
-    /// How long (µs) the front request may still wait before the window
-    /// trigger fires — the worker's condvar timeout. Zero when a batch is
-    /// already due.
-    pub fn wait_us(&self, oldest_enq_us: u64, now_us: u64) -> u64 {
-        let aged = now_us.saturating_sub(oldest_enq_us);
-        self.window_us.saturating_sub(aged)
+    /// How many rows a free worker takes from a queue `depth` rows deep:
+    /// `Some(min(depth, max_rows))`, or `None` when the queue is empty.
+    pub fn ready(&self, depth: usize) -> Option<usize> {
+        (depth > 0).then(|| depth.min(self.max_rows))
     }
 }
 
@@ -64,36 +42,28 @@ mod tests {
 
     #[test]
     fn empty_queue_never_ready() {
-        let b = MicroBatcher::new(8, 1000);
-        assert_eq!(b.ready(0, 0, u64::MAX), None);
+        let b = MicroBatcher::new(8);
+        assert_eq!(b.ready(0), None);
     }
 
     #[test]
     fn full_batch_cuts_immediately() {
-        let b = MicroBatcher::new(8, 1000);
-        assert_eq!(b.ready(8, 500, 500), Some(8));
-        assert_eq!(b.ready(20, 500, 500), Some(8));
+        let b = MicroBatcher::new(8);
+        assert_eq!(b.ready(8), Some(8));
+        assert_eq!(b.ready(20), Some(8));
     }
 
     #[test]
-    fn window_expiry_cuts_partial_batch() {
-        let b = MicroBatcher::new(8, 1000);
-        assert_eq!(b.ready(3, 100, 1099), None);
-        assert_eq!(b.ready(3, 100, 1100), Some(3));
-    }
-
-    #[test]
-    fn wait_us_counts_down_to_window() {
-        let b = MicroBatcher::new(8, 1000);
-        assert_eq!(b.wait_us(100, 100), 1000);
-        assert_eq!(b.wait_us(100, 600), 500);
-        assert_eq!(b.wait_us(100, 5000), 0);
+    fn lone_request_is_taken_at_once() {
+        let b = MicroBatcher::new(8);
+        assert_eq!(b.ready(1), Some(1));
+        assert_eq!(b.ready(3), Some(3));
     }
 
     #[test]
     fn max_rows_clamped_to_one() {
-        let b = MicroBatcher::new(0, 10);
+        let b = MicroBatcher::new(0);
         assert_eq!(b.max_rows, 1);
-        assert_eq!(b.ready(1, 0, 0), Some(1));
+        assert_eq!(b.ready(1), Some(1));
     }
 }

@@ -79,6 +79,15 @@ pub struct ServeStats {
     pub recoveries: u64,
     /// End-to-end per-request latencies (enqueue → reply), µs.
     pub latency_us: LatencyHistogram,
+    /// Admission's fitted fixed cost of one batch, µs: the `a` of
+    /// `t(rows) = a + b·rows`.
+    pub a_us: f64,
+    /// Admission's fitted cost of one row, µs: the `b` of `a + b·rows`.
+    pub b_us: f64,
+    /// Mean measured time of an executed batch, µs (0 before the first).
+    pub batch_us: f64,
+    /// Mean rows of an executed batch (0 before the first).
+    pub batch_rows: f64,
 }
 
 impl ServeStats {
@@ -88,6 +97,24 @@ impl ServeStats {
     pub fn percentile_us(&self, p: f64) -> u64 {
         self.latency_us.percentile(p)
     }
+
+    /// Predicted time of a batch of `rows` rows under the fitted
+    /// `a + b·rows`, µs.
+    pub fn est_batch_us(&self, rows: usize) -> f64 {
+        self.a_us + self.b_us * rows as f64
+    }
+}
+
+/// What the workers record, under one lock; [`ServeEngine::stats`] turns
+/// it into a [`ServeStats`] snapshot.
+#[derive(Debug, Default)]
+struct Counters {
+    stats: ServeStats,
+    /// Batches executed to completion (`stats.batches` also counts the
+    /// attempts that panicked).
+    executed: u64,
+    /// Measured time of those batches, summed, µs.
+    executed_us: f64,
 }
 
 /// Persistent micro-batching prediction service over one model (see
@@ -106,7 +133,7 @@ pub struct ServeEngine<S: Scalar> {
     queue: std::sync::Mutex<QueueState<S>>,
     work_ready: Condvar,
     admission: Mutex<AdmissionController>,
-    stats: Mutex<ServeStats>,
+    counters: Mutex<Counters>,
     consecutive_recoveries: std::sync::atomic::AtomicU64,
     start: Instant,
     /// Ledger charges for the resident model with its packed panels and
@@ -130,8 +157,13 @@ impl<S: Scalar> ServeEngine<S> {
     ) -> Result<Self, MemoryError> {
         let charges = plan.charge(ledger)?;
         let packed = model.pack(&plan.opts);
-        let batcher = MicroBatcher::new(plan.batch_rows, plan.window_us);
-        let admission = AdmissionController::new(plan.latency_budget_us, plan.est_row_us);
+        let batcher = MicroBatcher::new(plan.batch_rows);
+        let admission = AdmissionController::new(
+            plan.latency_budget_us,
+            plan.est_row_us,
+            plan.batch_rows,
+            plan.workers,
+        );
         Ok(ServeEngine {
             model,
             packed,
@@ -140,7 +172,7 @@ impl<S: Scalar> ServeEngine<S> {
             queue: std::sync::Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             admission: Mutex::new(admission),
-            stats: Mutex::new(ServeStats::default()),
+            counters: Mutex::new(Counters::default()),
             consecutive_recoveries: std::sync::atomic::AtomicU64::new(0),
             start: Instant::now(),
             _charges: charges,
@@ -172,9 +204,22 @@ impl<S: Scalar> ServeEngine<S> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Snapshot of the counters and the latency histogram.
+    /// Snapshot of the counters, the latency histogram, the admission fit
+    /// and the measured batch means.
     pub fn stats(&self) -> ServeStats {
-        self.stats.lock().clone()
+        let mut st = {
+            let c = self.counters.lock();
+            let mut st = c.stats.clone();
+            if c.executed > 0 {
+                st.batch_us = c.executed_us / c.executed as f64;
+                st.batch_rows = st.served as f64 / c.executed as f64;
+            }
+            st
+        };
+        let adm = self.admission.lock();
+        st.a_us = adm.cost().a_us();
+        st.b_us = adm.cost().b_us();
+        st
     }
 
     /// Submits a prediction request, subject to admission control.
@@ -199,7 +244,7 @@ impl<S: Scalar> ServeEngine<S> {
         let mut q = self.lock_queue();
         if let Err(shed) = self.admission.lock().admit(q.pending.len()) {
             drop(q);
-            self.stats.lock().shed += 1;
+            self.counters.lock().stats.shed += 1;
             return Err(shed);
         }
         let mut req = q.pool.pop().unwrap_or_default();
@@ -239,7 +284,9 @@ impl<S: Scalar> ServeEngine<S> {
         })
     }
 
-    /// Worker: wait for a batch to be due, execute it, reply, recycle.
+    /// Worker: take what is queued as soon as this worker is free (up to
+    /// the batch cap), execute it, reply, recycle; sleep only on an empty
+    /// queue.
     fn worker_loop(&self, sink: &(dyn Fn(&str, &[S]) + Sync)) {
         let mut bufs = PredictBuffers::new();
         let mut batch: Vec<Request<S>> = Vec::new();
@@ -249,26 +296,11 @@ impl<S: Scalar> ServeEngine<S> {
             {
                 let mut q = self.lock_queue();
                 let take = loop {
-                    let now = self.now_us();
-                    let oldest = q.pending.front().map(|r| r.enq_us);
-                    match oldest.and_then(|t0| self.batcher.ready(q.pending.len(), t0, now)) {
-                        // A closed queue drains in max-size batches; an
-                        // open one honours the batching window.
+                    match self.batcher.ready(q.pending.len()) {
                         Some(rows) => break rows,
-                        None if q.closed => match q.pending.len() {
-                            0 => return,
-                            depth => break depth.min(self.batcher.max_rows),
-                        },
+                        None if q.closed => return,
                         None => {
-                            let wait = match oldest {
-                                Some(t0) => self.batcher.wait_us(t0, self.now_us()).max(1),
-                                None => self.batcher.window_us.max(1),
-                            };
-                            q = self
-                                .work_ready
-                                .wait_timeout(q, std::time::Duration::from_micros(wait))
-                                .unwrap_or_else(|e| e.into_inner())
-                                .0;
+                            q = self.work_ready.wait(q).unwrap_or_else(|e| e.into_inner());
                         }
                     }
                 };
@@ -295,9 +327,9 @@ impl<S: Scalar> ServeEngine<S> {
         }
         out.resize(rows, l);
         let seq = {
-            let mut st = self.stats.lock();
-            st.batches += 1;
-            st.batches
+            let mut c = self.counters.lock();
+            c.stats.batches += 1;
+            c.stats.batches
         };
         let t0 = self.now_us();
         let executed = catch_unwind(AssertUnwindSafe(|| {
@@ -319,12 +351,14 @@ impl<S: Scalar> ServeEngine<S> {
                 for (i, req) in batch.iter().enumerate() {
                     sink(&req.id, out.row(i));
                 }
-                let mut st = self.stats.lock();
-                st.served += rows as u64;
+                let mut c = self.counters.lock();
+                c.executed += 1;
+                c.executed_us += elapsed;
+                c.stats.served += rows as u64;
                 for req in batch.iter() {
-                    st.latency_us.record(now.saturating_sub(req.enq_us));
+                    c.stats.latency_us.record(now.saturating_sub(req.enq_us));
                 }
-                drop(st);
+                drop(c);
                 let mut q = self.lock_queue();
                 for mut req in batch.drain(..) {
                     req.features.clear();
@@ -344,7 +378,7 @@ impl<S: Scalar> ServeEngine<S> {
                     self.work_ready.notify_all();
                     std::panic::resume_unwind(payload);
                 }
-                self.stats.lock().recoveries += 1;
+                self.counters.lock().stats.recoveries += 1;
                 let mut q = self.lock_queue();
                 for req in batch.drain(..).rev() {
                     q.pending.push_front(req);

@@ -15,15 +15,21 @@
 //!   model (`ep2_device::cost`) and the memory plan
 //!   ([`PredictOptions::planned`](ep2_core::PredictOptions::planned)) over
 //!   what the resident set leaves.
-//! - [`batch::MicroBatcher`] decides *when* a batch forms: as soon as the
-//!   cap is reached, or when the oldest queued request has waited out the
-//!   batching window — a pure function of (depth, oldest, now), so the
-//!   policy is testable under a simulated clock.
-//! - [`admission::AdmissionController`] sheds load explicitly: when the
-//!   queued work (estimated from an EWMA of measured per-row cost, seeded
-//!   by the cost model) exceeds the latency budget, the request is
-//!   rejected with a `busy` response instead of silently queueing past the
-//!   budget.
+//! - [`batch::MicroBatcher`] is work-conserving: a free worker takes
+//!   `min(queued, cap)` rows at once, so no request waits while a worker
+//!   is idle and batches grow only while every worker is busy (the rows
+//!   that arrive during one batch form the next). It is a pure function of
+//!   the queue depth, so the policy is testable under a simulated clock.
+//! - [`admission::AdmissionController`] sheds load explicitly. A batch of
+//!   `r` rows costs about `a + b·r`: `a` streams the packed model once,
+//!   `b` is one row's compute. [`admission::BatchCost`] fits that line
+//!   online from every executed batch (exponentially weighted least
+//!   squares, seeded by the cost model's per-row time), and the wait
+//!   behind the queue is the sum of `a + b·rows` over the batches it would
+//!   form, shared by the workers. When that exceeds the latency budget the
+//!   request is rejected with a `busy` response instead of silently
+//!   queueing past the budget. `stats` reports the fit next to the
+//!   measured batch times.
 //! - [`engine::ServeEngine`] runs the workers on [`ep2_runtime::scope`],
 //!   shares the model read-only via `Arc`, and recycles request and
 //!   matrix buffers so the steady-state hot path allocates nothing.

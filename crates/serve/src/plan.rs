@@ -12,19 +12,12 @@ pub struct ServeConfig {
     /// Micro-batch row cap; derived from `C_G` and the memory plan when
     /// unset.
     pub batch_rows: Option<usize>,
-    /// Batching window in microseconds (how long a lone request may wait
-    /// for company); defaults to [`DEFAULT_WINDOW_US`].
-    pub window_us: Option<u64>,
     /// Admission latency budget in microseconds; defaults to a multiple of
     /// the estimated full-batch execution time.
     pub latency_budget_us: Option<u64>,
     /// Worker count; defaults to 2 (capped by the thread budget).
     pub workers: Option<usize>,
 }
-
-/// Default batching window: 2 ms keeps single-request latency humane while
-/// still coalescing bursts that arrive within one scheduling quantum.
-pub const DEFAULT_WINDOW_US: u64 = 2_000;
 
 /// Default latency budget as a multiple of the estimated full-batch
 /// execution time: a request may wait behind roughly four batches' worth
@@ -55,9 +48,8 @@ pub struct ServePlan {
     pub per_worker_slots: f64,
     /// Admission latency budget, µs.
     pub latency_budget_us: u64,
-    /// Batching window, µs.
-    pub window_us: u64,
-    /// Cost-model seed for the per-row execution time, µs.
+    /// Cost-model seed for the per-row execution time, µs: the admission
+    /// fit's `b` until the first batch is measured.
     pub est_row_us: f64,
 }
 
@@ -128,10 +120,9 @@ impl ServePlan {
         let per_worker_slots = opts.transient_slots(n, d, l, precision);
         let packed_slots = opts.packed_slots(n, d, l, precision);
 
-        let window_us = config.window_us.unwrap_or(DEFAULT_WINDOW_US);
         let latency_budget_us = config.latency_budget_us.unwrap_or_else(|| {
             let batch_us = batch_rows as f64 * est_row_us + spec.launch_overhead * 1e6;
-            (BUDGET_BATCHES * batch_us).ceil().max(1.0) as u64 + window_us
+            (BUDGET_BATCHES * batch_us).ceil().max(1.0) as u64
         });
 
         ServePlan {
@@ -143,7 +134,6 @@ impl ServePlan {
             packed_slots,
             per_worker_slots,
             latency_budget_us,
-            window_us,
             est_row_us,
         }
     }

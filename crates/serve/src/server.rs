@@ -6,7 +6,8 @@
 //! ```text
 //! predict <id> <v1,v2,...,vd>   ask for f(x) on one feature row
 //! ping                          liveness probe
-//! stats                         counters + latency percentiles so far
+//! stats                         counters, latency percentiles, and the
+//!                               admission fit next to measured batches
 //! shutdown                      drain the queue and exit
 //! ```
 //!
@@ -18,6 +19,11 @@
 //! err <id> <message>            malformed request
 //! pong / stats ... / bye
 //! ```
+//!
+//! The `stats` reply is one line: `stats served= shed= batches=
+//! recoveries= p50_us= p99_us=`, then the admission fit `a_us= b_us=`, its
+//! predictions for a one-row and a cap-row batch `est_one_us= est_cap_us=`,
+//! and the measured means `batch_us= batch_rows=` over executed batches.
 //!
 //! Floats are rendered with Rust's shortest round-trippable formatting, so
 //! `ok` payloads parse back to bit-identical values at the serving
@@ -125,16 +131,25 @@ pub fn serve_lines<S: Scalar>(
                 }
                 "stats" => {
                     let st = engine.stats();
+                    let cap = engine.plan().batch_rows;
                     let mut w = out.lock();
                     writeln!(
                         w,
-                        "stats served={} shed={} batches={} recoveries={} p50_us={} p99_us={}",
+                        "stats served={} shed={} batches={} recoveries={} p50_us={} p99_us={} \
+                         a_us={:.1} b_us={:.2} est_one_us={:.0} est_cap_us={:.0} \
+                         batch_us={:.0} batch_rows={:.2}",
                         st.served,
                         st.shed,
                         st.batches,
                         st.recoveries,
                         st.percentile_us(50.0),
                         st.percentile_us(99.0),
+                        st.a_us,
+                        st.b_us,
+                        st.est_batch_us(1),
+                        st.est_batch_us(cap),
+                        st.batch_us,
+                        st.batch_rows,
                     )?;
                     w.flush()?;
                 }

@@ -195,7 +195,6 @@ fn serve_worker_panic_is_absorbed_bitwise() {
     let spec = ResourceSpec::scaled_virtual_gpu();
     let config = ServeConfig {
         batch_rows: Some(x.rows()),
-        window_us: Some(5_000_000),
         workers: Some(1),
         ..Default::default()
     };
@@ -210,11 +209,11 @@ fn serve_worker_panic_is_absorbed_bitwise() {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push((id.to_string(), out.to_vec()));
         };
-        engine.run(&sink, || {
-            for i in 0..x.rows() {
-                engine.submit(&format!("r{i}"), x.row(i)).expect("admitted");
-            }
-        });
+        // Queued before `run` starts the worker: one batch of every row.
+        for i in 0..x.rows() {
+            engine.submit(&format!("r{i}"), x.row(i)).expect("admitted");
+        }
+        engine.run(&sink, || {});
         let stats = engine.stats();
         let mut out = replies.into_inner().unwrap();
         out.sort_by(|a, b| a.0.cmp(&b.0));

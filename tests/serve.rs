@@ -1,10 +1,11 @@
-//! Serving-path integration tests: micro-batch formation under bursty
-//! arrival (simulated clock — no sleeps), admission shedding at
-//! over-budget load, bit-for-bit parity between served and offline
-//! predictions at every precision (whatever batch a row rides in), the
-//! packed panels' ledger charge, and worker-panic self-healing.
+//! Serving-path integration tests: work-conserving batch formation and
+//! admission under bursty and stepped arrivals (simulated clock and
+//! virtual workers — no sleeps), admission shedding at over-budget load,
+//! bit-for-bit parity between served and offline predictions at every
+//! precision (whatever batch a row rides in), the packed panels' ledger
+//! charge, and worker-panic self-healing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use eigenpro2::core::KernelModel;
@@ -26,75 +27,240 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A bursty arrival trace under a simulated microsecond clock: each event
-/// is (arrival time, rows arriving at that instant).
-fn replay_batches(batcher: &MicroBatcher, trace: &[(u64, usize)]) -> Vec<(u64, usize)> {
-    // (enq_us, rows) per queued request, FIFO.
-    let mut queue: std::collections::VecDeque<u64> = Default::default();
-    let mut cuts = Vec::new();
-    let horizon = trace
-        .last()
-        .map(|&(t, _)| t + 10 * batcher.window_us)
-        .unwrap_or(0);
-    let mut trace_iter = trace.iter().peekable();
-    for now in 0..=horizon {
-        while let Some(&&(t, rows)) = trace_iter.peek() {
-            if t > now {
+/// One simulated batch: when it started and its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SimBatch {
+    start: u64,
+    rows: usize,
+}
+
+/// What a simulated run recorded.
+#[derive(Debug, Default)]
+struct SimRun {
+    batches: Vec<SimBatch>,
+    shed: usize,
+    /// Instants at which a row sat queued while a worker was free.
+    idle_with_queue: usize,
+}
+
+/// Replays arrivals (time µs, rows arriving at that instant) under a
+/// simulated microsecond clock. Each row passes `admission` against the
+/// rows queued before it; `workers` virtual workers, each free one taking
+/// what `batcher` cuts, run a batch of `r` rows in `a_us + b_us·r` µs, and
+/// every finished batch is fed back to `admission`'s fit.
+fn simulate(
+    batcher: &MicroBatcher,
+    admission: &mut AdmissionController,
+    workers: usize,
+    (a_us, b_us): (u64, u64),
+    arrivals: &[(u64, usize)],
+) -> SimRun {
+    let mut run = SimRun::default();
+    let mut queue: VecDeque<u64> = VecDeque::new();
+    // Per worker: the batch in flight, as (end, rows).
+    let mut busy: Vec<Option<(u64, usize)>> = vec![None; workers];
+    let mut next = 0;
+    loop {
+        let next_end = busy.iter().flatten().map(|&(end, _)| end).min();
+        let now = match (arrivals.get(next), next_end) {
+            (Some(&(t, _)), Some(end)) => t.min(end),
+            (Some(&(t, _)), None) => t,
+            (None, Some(end)) => end,
+            (None, None) => break,
+        };
+        // Batches finishing now free their worker and teach the fit.
+        for slot in busy.iter_mut() {
+            if let Some((end, rows)) = *slot {
+                if end == now {
+                    admission.observe_batch(rows, (a_us + b_us * rows as u64) as f64);
+                    *slot = None;
+                }
+            }
+        }
+        // Rows arriving now queue together, each admitted or shed.
+        while let Some(&(t, rows)) = arrivals.get(next) {
+            if t != now {
                 break;
             }
-            trace_iter.next();
             for _ in 0..rows {
-                queue.push_back(t);
-            }
-        }
-        while let Some(&oldest) = queue.front() {
-            match batcher.ready(queue.len(), oldest, now) {
-                Some(take) => {
-                    queue.drain(..take);
-                    cuts.push((now, take));
+                match admission.admit(queue.len()) {
+                    Ok(()) => queue.push_back(t),
+                    Err(_) => run.shed += 1,
                 }
-                None => break,
             }
+            next += 1;
+        }
+        // Every free worker takes its cut.
+        for slot in busy.iter_mut().filter(|slot| slot.is_none()) {
+            let Some(rows) = batcher.ready(queue.len()) else {
+                break;
+            };
+            queue.drain(..rows);
+            *slot = Some((now + a_us + b_us * rows as u64, rows));
+            run.batches.push(SimBatch { start: now, rows });
+        }
+        if !queue.is_empty() && busy.iter().any(Option::is_none) {
+            run.idle_with_queue += 1;
         }
     }
-    cuts
+    run
+}
+
+/// `(start, rows)` of each simulated batch, in start order.
+fn cuts(run: &SimRun) -> Vec<(u64, usize)> {
+    run.batches.iter().map(|b| (b.start, b.rows)).collect()
+}
+
+/// An admission controller that never sheds.
+fn unbounded(batcher: &MicroBatcher, workers: usize) -> AdmissionController {
+    AdmissionController::new(u64::MAX, 1.0, batcher.max_rows, workers)
 }
 
 #[test]
 fn bursty_arrivals_form_expected_batches() {
-    let batcher = MicroBatcher::new(8, 100);
-    // A burst of 20 at t=0: two full batches immediately, 4 left waiting.
-    // A straggler at t=50 joins them; the window expires at t=100.
-    // A lone request at t=500 waits out its own window.
-    let cuts = replay_batches(&batcher, &[(0, 20), (50, 1), (500, 1)]);
-    assert_eq!(cuts, vec![(0, 8), (0, 8), (100, 5), (600, 1)]);
+    let batcher = MicroBatcher::new(8);
+    let mut admission = unbounded(&batcher, 2);
+    // Batches cost 100 + 10·rows µs on two workers. A burst of 20 at t=0:
+    // both workers take a full batch at once (done at 180), 4 rows wait.
+    // A straggler at t=50 joins them; the first free worker takes all 5
+    // at t=180, the other finds the queue empty. A lone request at t=500
+    // finds both workers free and starts at once.
+    let run = simulate(
+        &batcher,
+        &mut admission,
+        2,
+        (100, 10),
+        &[(0, 20), (50, 1), (500, 1)],
+    );
+    assert_eq!(cuts(&run), vec![(0, 8), (0, 8), (180, 5), (500, 1)]);
+    assert_eq!(run.idle_with_queue, 0);
 }
 
 #[test]
 fn quiet_period_holds_no_batch() {
-    let batcher = MicroBatcher::new(8, 100);
-    assert!(replay_batches(&batcher, &[]).is_empty());
+    let batcher = MicroBatcher::new(8);
+    let mut admission = unbounded(&batcher, 2);
+    assert!(simulate(&batcher, &mut admission, 2, (100, 10), &[])
+        .batches
+        .is_empty());
 }
 
 #[test]
 fn sustained_overload_cuts_only_full_batches() {
-    let batcher = MicroBatcher::new(16, 1_000);
-    // 64 rows at once: four full batches, no window-expired stragglers.
-    let cuts = replay_batches(&batcher, &[(0, 64)]);
-    assert_eq!(cuts, vec![(0, 16); 4]);
-    assert!(cuts.iter().all(|&(t, _)| t == 0));
+    let batcher = MicroBatcher::new(16);
+    let mut admission = unbounded(&batcher, 2);
+    // 64 rows at once: four full batches, two per worker, back to back.
+    let run = simulate(&batcher, &mut admission, 2, (1_000, 10), &[(0, 64)]);
+    assert_eq!(cuts(&run), vec![(0, 16), (0, 16), (1_160, 16), (1_160, 16)]);
+}
+
+/// Evenly spaced single-row arrivals at `frac` of `rows_per_us`, from
+/// `t0` for `n` rows; returns the arrivals and the instant after the last.
+fn even_arrivals(t0: u64, frac: f64, rows_per_us: f64, n: usize) -> (Vec<(u64, usize)>, u64) {
+    let gap = 1.0 / (frac * rows_per_us);
+    let trace: Vec<(u64, usize)> = (0..n)
+        .map(|i| (t0 + (i as f64 * gap).round() as u64, 1))
+        .collect();
+    (trace, t0 + (n as f64 * gap).round() as u64)
+}
+
+#[test]
+fn step_load_batches_track_the_load_without_a_slow_mode() {
+    // The served benchmark model's measured packed predict at one thread
+    // is about 1.3 ms + 0.19 ms/row, with a 1024-row cap: two workers run
+    // at most 2·1024 / t(1024) rows per µs.
+    let (a, b, cap, workers) = (1_300_u64, 190_u64, 1024_usize, 2);
+    let capacity = (workers * cap) as f64 / (a + b * cap as u64) as f64;
+    // Evenly spaced arrivals step 0.2 → 0.9 → 0.2 of capacity, each step
+    // long enough to settle (and 0.9 long enough for hundreds of batches).
+    let steps = [(0.2, 3_000), (0.9, 12_000), (0.2, 3_000)];
+    let mut trace = Vec::new();
+    let mut bounds = Vec::new();
+    let mut t = 0;
+    for &(frac, n) in &steps {
+        let (rows, end) = even_arrivals(t, frac, capacity, n);
+        trace.extend(rows);
+        bounds.push((t, end));
+        t = end;
+    }
+    let batcher = MicroBatcher::new(cap);
+    // The plan's default budget: four cap-sized batches at the seed's
+    // per-row estimate (14 µs a row, the virtual device's).
+    let seed_row_us = 14.0;
+    let budget_us = (4.0 * cap as f64 * seed_row_us) as u64;
+    let mut admission = AdmissionController::new(budget_us, seed_row_us, cap, workers);
+    let run = simulate(&batcher, &mut admission, workers, (a, b), &trace);
+
+    // Work-conserving: no row ever waits while a worker is free, and
+    // nothing is shed below capacity.
+    assert_eq!(run.idle_with_queue, 0);
+    assert_eq!(run.shed, 0);
+    // Exact batch times: the two-term fit finds a and b.
+    let fit = admission.cost();
+    assert!(
+        (fit.a_us() / a as f64 - 1.0).abs() < 0.01,
+        "a {}",
+        fit.a_us()
+    );
+    assert!(
+        (fit.b_us() / b as f64 - 1.0).abs() < 0.01,
+        "b {}",
+        fit.b_us()
+    );
+
+    // Each step's second half is its steady state.
+    let steady = |(t0, t1): (u64, u64)| -> Vec<usize> {
+        let mid = t0 + (t1 - t0) / 2;
+        run.batches
+            .iter()
+            .filter(|x| (mid..t1).contains(&x.start))
+            .map(|x| x.rows)
+            .collect()
+    };
+    let mean = |s: &[usize]| s.iter().sum::<usize>() as f64 / s.len() as f64;
+    for (&(frac, _), &span) in steps.iter().zip(&bounds) {
+        let sizes = steady(span);
+        // Fluid steady state: each worker's batch holds what arrives
+        // while the other runs its own, r = λ·t(r) / workers.
+        let lambda = frac * capacity;
+        let fluid = lambda * a as f64 / (workers as f64 - lambda * b as f64);
+        assert!(
+            (mean(&sizes) - fluid).abs() <= 1.0,
+            "{frac}: mean batch {} rows, fluid {fluid:.2}",
+            mean(&sizes)
+        );
+        // Batches grow with the load but never reach the cap: no step
+        // settles into alternating cap-sized and small batches.
+        let largest = *sizes.iter().max().unwrap();
+        assert!(
+            largest <= 2 * fluid.ceil() as usize + 1,
+            "{frac}: {sizes:?}"
+        );
+        assert!(largest < cap / 4, "{frac}: {largest}-row batch");
+    }
+    // No hysteresis: back at 0.2, the batches are those of the first 0.2.
+    let (first, last) = (steady(bounds[0]), steady(bounds[2]));
+    let range = |s: &[usize]| (*s.iter().min().unwrap(), *s.iter().max().unwrap());
+    assert_eq!(range(&first), range(&last));
+    assert!((mean(&first) - mean(&last)).abs() < 0.1);
 }
 
 #[test]
 fn admission_sheds_exactly_past_the_budget() {
-    // 150 µs/row estimate, 1 ms budget: 6 queued rows (900 µs) admit, 7
-    // (1050 µs) shed — and the empty queue always admits.
-    let c = AdmissionController::new(1_000, 150.0);
+    // Measured batches on t(r) = 100 + 50·r, at most 8 rows a batch, two
+    // workers. The wait behind q rows is the batches they form over the
+    // workers: 32 rows are four full batches, 4·t(8) / 2 = 1000 µs; a 33rd
+    // row adds a fifth batch and its fixed cost, (4·t(8) + t(1)) / 2 =
+    // 1075 µs. (Priced per row at the fitted t(8)/8, they would be 1000
+    // and 1031 µs.)
+    let mut c = AdmissionController::new(1_050, 1.0, 8, 2);
+    c.observe_batch(1, 150.0);
+    c.observe_batch(8, 500.0);
     assert!(c.admit(0).is_ok());
-    assert!(c.admit(6).is_ok());
-    let shed = c.admit(7).unwrap_err();
-    assert_eq!(shed.est_wait_us, 1_050);
-    assert_eq!(shed.budget_us, 1_000);
+    assert!(c.admit(32).is_ok());
+    let shed = c.admit(33).unwrap_err();
+    assert!((1_075..=1_076).contains(&shed.est_wait_us), "{shed:?}");
+    assert_eq!(shed.budget_us, 1_050);
 }
 
 fn test_model<S: Scalar>(n: usize, d: usize, l: usize) -> Arc<KernelModel<S>> {
@@ -124,20 +290,19 @@ fn engine_with<S: Scalar>(
     ServeEngine::new(model, plan, &ledger).expect("serve plan fits the ledger")
 }
 
-/// Submits `k` rows while the (single, long-window) worker is held off,
-/// then lets the engine drain; returns the replies keyed by request id.
+/// Queues every row before `run` starts the workers, then lets the engine
+/// drain; returns the replies keyed by request id.
 fn serve_rows<S: Scalar>(engine: &ServeEngine<S>, rows: &Matrix<S>) -> HashMap<String, Vec<S>> {
+    for i in 0..rows.rows() {
+        engine
+            .submit(&format!("r{i}"), rows.row(i))
+            .expect("within budget");
+    }
     let replies: Mutex<HashMap<String, Vec<S>>> = Mutex::new(HashMap::new());
     let sink = |id: &str, out: &[S]| {
         replies.lock().unwrap().insert(id.to_string(), out.to_vec());
     };
-    engine.run(&sink, || {
-        for i in 0..rows.rows() {
-            engine
-                .submit(&format!("r{i}"), rows.row(i))
-                .expect("within budget");
-        }
-    });
+    engine.run(&sink, || {});
     replies.into_inner().unwrap()
 }
 
@@ -148,12 +313,11 @@ fn served_matches_offline_bitwise<S: Scalar>(precision: Precision) {
     let x = Matrix::from_fn(k, d, |i, j| {
         S::from_f64(((i * 13 + j * 5) % 19) as f64 * 0.09)
     });
-    // One worker and a window far longer than the submit loop: all k
-    // requests coalesce into a single drain batch in submission order, so
-    // the served batch matrix is exactly `x`.
+    // One worker, and all k requests queued before it starts: they form a
+    // single batch in submission order, so the served batch matrix is
+    // exactly `x`.
     let config = ServeConfig {
         batch_rows: Some(k),
-        window_us: Some(5_000_000),
         workers: Some(1),
         ..Default::default()
     };
@@ -212,19 +376,18 @@ fn spread_model<S: Scalar>(n: usize, d: usize, l: usize) -> Arc<KernelModel<S>> 
     Arc::new(KernelModel::from_weights(kernel, centers, weights))
 }
 
-/// Serves `x` through an engine capped at `batch_rows` rows per batch,
-/// with no batching window (and no shedding), so each request rides in a
-/// batch of at most `batch_rows`; returns the replies in row order.
+/// Serves `x` through one worker capped at `batch_rows` rows per batch
+/// (and no shedding), with every row queued before it starts, so the rows
+/// ride in batches of exactly `batch_rows` (the last one shorter); returns
+/// the replies in row order.
 fn serve_capped<S: Scalar>(
     model: &Arc<KernelModel<S>>,
     x: &Matrix<S>,
     batch_rows: usize,
-    window_us: u64,
     precision: Precision,
 ) -> Vec<Vec<S>> {
     let config = ServeConfig {
         batch_rows: Some(batch_rows),
-        window_us: Some(window_us),
         latency_budget_us: Some(u64::MAX / 2),
         workers: Some(1),
     };
@@ -244,8 +407,8 @@ fn rows_independent_of_batch<S: Scalar>(precision: Precision, n: usize, d: usize
     let x = Matrix::from_fn(k, d, |i, j| {
         S::from_f64(((i * 13 + j * 5) % 19) as f64 * 0.08)
     });
-    let alone = serve_capped(&model, &x, 1, 0, precision);
-    let together = serve_capped(&model, &x, k, 5_000_000, precision);
+    let alone = serve_capped(&model, &x, 1, precision);
+    let together = serve_capped(&model, &x, k, precision);
     let offline = model.predict_with(&x, &eigenpro2::core::PredictOptions::new().block_rows(k));
     let mut differing = Vec::new();
     for i in 0..k {
@@ -320,29 +483,27 @@ fn over_budget_load_is_shed_with_busy() {
     let _g = lock();
     let model = test_model::<f32>(80, 5, 2);
     // Zero latency budget: the first request (empty queue) always admits,
-    // everything that queues behind it sheds. The huge window keeps the
-    // worker from draining mid-test.
+    // everything that queues behind it sheds. The flood arrives before
+    // `run` starts the worker, so the first request is still queued.
     let config = ServeConfig {
         batch_rows: Some(64),
-        window_us: Some(5_000_000),
         latency_budget_us: Some(0),
         workers: Some(1),
     };
     let engine = engine_with(model, &config, Precision::F32);
     let row: Vec<f32> = vec![0.25; 5];
     let mut sheds = Vec::new();
+    assert!(engine.submit("first", &row).is_ok(), "empty queue admits");
+    for i in 0..5 {
+        match engine.submit(&format!("flood{i}"), &row) {
+            Ok(()) => {}
+            Err(shed) => sheds.push(shed),
+        }
+    }
     let ok: Mutex<u64> = Mutex::new(0);
     let sink = |_id: &str, _out: &[f32]| *ok.lock().unwrap() += 1;
-    engine.run(&sink, || {
-        assert!(engine.submit("first", &row).is_ok(), "empty queue admits");
-        for i in 0..5 {
-            match engine.submit(&format!("flood{i}"), &row) {
-                Ok(()) => {}
-                Err(shed) => sheds.push(shed),
-            }
-        }
-    });
-    assert!(!sheds.is_empty(), "over-budget load was never shed");
+    engine.run(&sink, || {});
+    assert_eq!(sheds.len(), 5, "over-budget load was not shed");
     assert!(sheds.iter().all(|s| s.budget_us == 0 && s.est_wait_us > 0));
     let st = engine.stats();
     assert_eq!(st.shed, sheds.len() as u64);
@@ -359,7 +520,6 @@ fn worker_panic_failpoint_loses_no_request() {
     let x = Matrix::from_fn(k, 4, |i, j| ((i * 7 + j) % 11) as f64 * 0.13);
     let config = ServeConfig {
         batch_rows: Some(k),
-        window_us: Some(5_000_000),
         workers: Some(1),
         ..Default::default()
     };
