@@ -103,7 +103,8 @@ serve:
                             batches), and a request whose wait behind the
                             queue's batches exceeds the budget gets a
                             `busy` reply
-  --workers <int>           batch-executing workers (default 2)
+  --workers <int>           batch-executing workers (default 1, which runs
+                            each batch on every thread)
   protocol, one request per line on stdin:
     predict <id> <v1,v2,...>  ->  ok <id> <y1,...>  |  busy <id> <wait> <budget>
     ping | stats | shutdown

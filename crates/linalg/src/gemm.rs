@@ -57,7 +57,10 @@
 //!   packing traffic `threads x` relative to the previous per-thread
 //!   packing scheme (kept as [`gemm_packed_perthread`], the measured
 //!   baseline in `BENCH_pool.json`); A panels still pack into per-thread
-//!   arenas ([`crate::parallel::with_pack_buffers`]).
+//!   arenas ([`crate::parallel::with_pack_buffers`]). A product against a
+//!   [`PackedB`] with too few rows for an MC block per thread (a served
+//!   micro-batch) splits the columns instead, so every thread streams its
+//!   share of B rather than one thread streaming all of it.
 //!
 //! Measured on the dev container (1 core, AVX-512, `target-cpu=native`;
 //! see `BENCH_gemm.json`): f32 sustains 77-87 Gflop/s (7.4-8.7x the seed
@@ -399,9 +402,25 @@ fn epilogue_block<S: Scalar, E: Epilogue<S>>(
     cols: usize,
     epi: &E,
 ) {
+    epilogue_block_at(c, ldc, row0, rows, col0, col0, cols, epi);
+}
+
+/// [`epilogue_block`] over a copy of `C`'s columns: the block's columns
+/// start at `local0` in `c` and at global column `col0`.
+#[allow(clippy::too_many_arguments)] // epilogue_block's arguments plus the local offset
+fn epilogue_block_at<S: Scalar, E: Epilogue<S>>(
+    c: &mut [S],
+    ldc: usize,
+    row0: usize,
+    rows: usize,
+    local0: usize,
+    col0: usize,
+    cols: usize,
+    epi: &E,
+) {
     let mut buf = [S::Compute::ZERO; vmath::BLOCK];
     for i in 0..rows {
-        let row = &mut c[i * ldc + col0..][..cols];
+        let row = &mut c[i * ldc + local0..][..cols];
         for (s, seg) in row.chunks_mut(vmath::BLOCK).enumerate() {
             let widened = &mut buf[..seg.len()];
             for (w, v) in widened.iter_mut().zip(seg.iter()) {
@@ -687,7 +706,10 @@ fn block_offset<S: Scalar>(k: usize, jc: usize, pc: usize, nc: usize) -> usize {
 
 /// `C <- alpha * A B + beta * C` against a pre-packed `B`: the dispatch of
 /// [`gemm_packed`] with the B panels read from `b` instead of packed per
-/// call — no shared-slab fill, no per-thread B packing.
+/// call — no shared-slab fill, no per-thread B packing. When `A` has fewer
+/// `MC` row blocks than there are threads, the threads split the columns
+/// instead of the rows, so a product of a few rows still streams `b` on
+/// every thread.
 ///
 /// The result is bitwise what [`gemm_auto`] gives on the view `b` was
 /// packed from, whatever the shape: small products skip the small-product
@@ -745,8 +767,10 @@ impl<S: Scalar> BSource<'_, S> {
     }
 }
 
-/// The blocked-engine dispatch: per-thread under a budget of 1, the
-/// cooperative shared-slab engine otherwise.
+/// The blocked-engine dispatch: per-thread under a budget of 1; with more
+/// threads, the column-split engine for a pre-packed B with too few rows
+/// to give every thread an `MC` row block, and the cooperative
+/// shared-slab engine otherwise.
 fn gemm_blocked<S: Scalar, E: Epilogue<S>>(
     alpha: S,
     a: View<'_, S>,
@@ -756,11 +780,116 @@ fn gemm_blocked<S: Scalar, E: Epilogue<S>>(
     epi: Option<&E>,
 ) {
     let threads = parallel::num_threads();
-    if threads <= 1 {
-        gemm_perthread_impl(alpha, a, b, beta, c, epi);
-    } else {
-        gemm_shared_impl(alpha, a, b, beta, c, threads, epi);
+    match b {
+        _ if threads <= 1 => gemm_perthread_impl(alpha, a, b, beta, c, epi),
+        BSource::Packed(p) if a.rows.div_ceil(MC) < threads => {
+            gemm_cols_impl(alpha, a, p, beta, c, threads, epi)
+        }
+        _ => gemm_shared_impl(alpha, a, b, beta, c, threads, epi),
     }
+}
+
+/// Columns per unit of the column-split engine: whole `NR` panels at every
+/// precision, and the epilogue's segment width, so a unit's epilogue sweeps
+/// exactly the segments the row-split engines sweep. `NC` is a multiple of
+/// it, so no unit straddles two column blocks.
+const COL_UNIT: usize = vmath::BLOCK;
+
+/// The column-split engine, for products against a pre-packed B whose few
+/// rows leave threads idle under the row split (a served micro-batch of a
+/// few rows is one `MC` block, so one thread would stream all of B). The
+/// columns are cut into `COL_UNIT`-wide units, dealt out as contiguous
+/// runs, and each run's participant sweeps every `(jc, pc)` block of it
+/// into a private copy of those columns of `C`, copied back after the
+/// join.
+///
+/// Each entry sees the same beta pass, the same A panels, the same slabs in
+/// the same order and the same tile write-back as in the row-split
+/// engines, and the epilogue the same segments, so the result is bitwise
+/// theirs; only which thread streams which panels of B changes.
+fn gemm_cols_impl<S: Scalar, E: Epilogue<S>>(
+    alpha: S,
+    a: View<'_, S>,
+    b: &PackedB<S>,
+    beta: S,
+    c: &mut [S],
+    threads: usize,
+    epi: Option<&E>,
+) {
+    let Some((m, k, n)) = packed_preamble(&a, &BSource::Packed(b), alpha, beta, c) else {
+        if let Some(epi) = epi {
+            epilogue_sweep(c, b.cols(), epi);
+        }
+        return;
+    };
+    scale_stripe(c, beta);
+    // Two runs per thread: a participant that is first to the job takes a
+    // second run while a late one is still waking, instead of waiting.
+    let units = n.div_ceil(COL_UNIT);
+    let parts = (2 * threads).min(units);
+    let cols_of = |t: usize| {
+        let col = |u: usize| (u * COL_UNIT).min(n);
+        col(t * units / parts)..col((t + 1) * units / parts)
+    };
+    let region = m * units.div_ceil(parts) * COL_UNIT;
+    let (mr, nr) = (S::MR, S::NR);
+    let ap_len = MC.div_ceil(mr) * mr * KC;
+    parallel::with_shared_slab::<S, _, _>(parts * region, |scratch| {
+        let src: &[S] = c;
+        parallel::for_each_chunk_mut(&mut scratch[..parts * region], region, |off, part| {
+            let cols = cols_of(off / region);
+            let (c0, w) = (cols.start, cols.len());
+            let part = &mut part[..m * w];
+            for (i, row) in part.chunks_exact_mut(w).enumerate() {
+                row.copy_from_slice(&src[i * n + c0..][..w]);
+            }
+            parallel::with_pack_buffers::<S::Compute, _, _>(ap_len, 0, |ap, _| {
+                for jc in (c0 / NC * NC..cols.end).step_by(NC) {
+                    let nc = NC.min(n - jc);
+                    let (lo, hi) = (c0.max(jc), cols.end.min(jc + nc));
+                    for pc in (0..k).step_by(KC) {
+                        let kc = KC.min(k - pc);
+                        let fuse = if pc + KC >= k { epi } else { None };
+                        let panels = b.block(jc, pc);
+                        for ic in (0..m).step_by(MC) {
+                            let mc = MC.min(m - ic);
+                            pack_a(&a, ic, pc, mc, kc, ap);
+                            for jr in (lo - jc..hi - jc).step_by(nr) {
+                                let nr_here = nr.min(nc - jr);
+                                let b_panel = &panels[(jr / nr) * nr * kc..][..nr * kc];
+                                for ir in (0..mc).step_by(mr) {
+                                    let a_panel = &ap[(ir / mr) * mr * kc..][..mr * kc];
+                                    let c_off = (ic + ir) * w + jc + jr - c0;
+                                    compute_tile(
+                                        kc,
+                                        alpha,
+                                        a_panel,
+                                        b_panel,
+                                        &mut part[c_off..],
+                                        w,
+                                        mr.min(mc - ir),
+                                        nr_here,
+                                    );
+                                }
+                            }
+                            if let Some(epi) = fuse {
+                                let rows = &mut part[ic * w..];
+                                epilogue_block_at(rows, w, ic, mc, lo - c0, lo, hi - lo, epi);
+                            }
+                        }
+                    }
+                }
+            });
+        });
+        for t in 0..parts {
+            let cols = cols_of(t);
+            let (c0, w) = (cols.start, cols.len());
+            let part = &scratch[t * region..][..m * w];
+            for (i, row) in part.chunks_exact(w).enumerate() {
+                c[i * n + c0..][..w].copy_from_slice(row);
+            }
+        }
+    });
 }
 
 /// Degenerate-product epilogue pass (`k == 0` or `alpha == 0`, where
@@ -1190,6 +1319,55 @@ mod tests {
             prepacked_matches_auto::<f32>(m, k, n);
             prepacked_matches_auto::<f64>(m, k, n);
             prepacked_matches_auto::<crate::Bf16>(m, k, n);
+        }
+    }
+
+    fn column_split_matches_one_thread<S: Scalar>(m: usize, k: usize, n: usize) {
+        let a: Vec<S> = fill(m * k, 71);
+        let b: Vec<S> = fill(k * n, 72);
+        let av = View::row_major(&a, m, k);
+        let packed = PackedB::pack(View::transposed(&b, n, k));
+        // A coordinate-dependent epilogue: a wrong global column, a skipped
+        // or a repeated visit changes the bits.
+        let bias = |i: usize, j: usize, acc: S::Compute| {
+            S::from_compute(acc + S::Compute::from_f64((i + 3 * j) as f64 * 1e-3))
+        };
+        let run = |threads: usize, fused: bool| {
+            let mut c = vec![S::from_f64(0.5); m * n];
+            ep2_runtime::with_budget(threads, || {
+                if fused {
+                    gemm_prepacked_epilogue(S::from_f64(-2.0), av, &packed, S::ZERO, &mut c, &bias)
+                } else {
+                    gemm_prepacked(S::from_f64(1.5), av, &packed, S::ONE, &mut c)
+                }
+            });
+            c
+        };
+        for fused in [false, true] {
+            let want = run(1, fused);
+            for threads in [2, 3, 8] {
+                let what = format!("{m}x{k}x{n} fused={fused} at {threads} threads");
+                assert_bits_eq(&run(threads, fused), &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn column_split_is_bitwise_the_row_split() {
+        // Rows too few for a row block per thread take the column split:
+        // one row, an MR edge, a whole MC block, and (at 3 and 8 threads)
+        // several MC blocks with an edge; columns crossing NC with a
+        // partial unit, and fewer columns than threads have units.
+        for &(m, k, n) in &[
+            (1, KC + 5, 2 * NC + 7),
+            (5, KC + 5, NC + COL_UNIT + 3),
+            (MC, 2 * KC, NC),
+            (MC + 9, KC + 1, NC + 1),
+            (3, 40, COL_UNIT + 1),
+        ] {
+            column_split_matches_one_thread::<f32>(m, k, n);
+            column_split_matches_one_thread::<f64>(m, k, n);
+            column_split_matches_one_thread::<crate::Bf16>(m, k, n);
         }
     }
 

@@ -27,7 +27,10 @@
 //!   stream producers) run as runtime tasks with their own budget handle —
 //!   dispatched to an idle pool worker when one is free, or a dedicated
 //!   runtime-owned thread otherwise — and are always joined before the
-//!   scope returns, panics included.
+//!   scope returns, panics included. A task that mostly waits and fans
+//!   its bursts out over the pool (a serving worker) asks for a dedicated
+//!   thread outright ([`TaskScope::spawn_dedicated`]), so it never holds a
+//!   pool worker its own jobs need.
 //! - **Bounded latency histograms** ([`LatencyHistogram`]): fixed-size,
 //!   log-bucketed sample counts with a stated percentile error, for
 //!   long-running services that must not keep every sample.
@@ -230,6 +233,33 @@ mod tests {
         });
         // scope() returns only after every task finished.
         assert_eq!(ran.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn dedicated_tasks_stay_off_the_pool_and_join() {
+        let ran = AtomicUsize::new(0);
+        let r = std::panic::catch_unwind(|| {
+            scope(|s| {
+                for _ in 0..2 {
+                    s.spawn_dedicated(3, || {
+                        // A runtime stage thread of its own, not a pool
+                        // worker, under the assigned budget.
+                        assert_eq!(std::thread::current().name(), Some("ep2-stage"));
+                        assert_eq!(current_threads(), 3);
+                        let sum = AtomicUsize::new(0);
+                        parallel_for(16, current_threads(), |i| {
+                            sum.fetch_add(i, Ordering::Relaxed);
+                        });
+                        assert_eq!(sum.load(Ordering::Relaxed), 120);
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                s.spawn_dedicated(1, || panic!("dedicated task died"));
+            });
+        });
+        // Both healthy tasks finished before the panic resumed.
+        assert!(r.is_err());
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
     }
 
     #[test]

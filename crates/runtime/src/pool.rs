@@ -245,18 +245,22 @@ impl Pool {
             return;
         }
         drop(st);
-        let join = Arc::clone(&task.join);
-        let spawned = std::thread::Builder::new()
-            .name("ep2-stage".to_string())
-            .spawn(move || task.execute());
-        if let Err(e) = spawned {
-            // The task never ran (spawn consumed and dropped it): balance
-            // its join count before surfacing the failure, or the owning
-            // scope's join would hang forever on a task no thread will
-            // ever finish.
-            join.task_done();
-            panic!("spawn ep2-runtime stage thread: {e}");
-        }
+        spawn_stage_thread(task);
+    }
+}
+
+/// Runs a stage task on a dedicated runtime thread of its own.
+fn spawn_stage_thread(task: StageTask) {
+    let join = Arc::clone(&task.join);
+    let spawned = std::thread::Builder::new()
+        .name("ep2-stage".to_string())
+        .spawn(move || task.execute());
+    if let Err(e) = spawned {
+        // The task never ran (spawn consumed and dropped it): balance its
+        // join count before surfacing the failure, or the owning scope's
+        // join would hang forever on a task no thread will ever finish.
+        join.task_done();
+        panic!("spawn ep2-runtime stage thread: {e}");
     }
 }
 
@@ -349,17 +353,40 @@ impl<'env> TaskScope<'env> {
     where
         F: FnOnce() + Send + 'env,
     {
+        Pool::get().submit_task(self.task(budget, f));
+    }
+
+    /// Spawns a long-running stage task under a thread-budget handle of
+    /// `budget` on a dedicated runtime thread, never on a pool worker;
+    /// joined before [`scope`] returns, as [`TaskScope::spawn`]'s are.
+    ///
+    /// For a task that spends its life blocked between bursts of work it
+    /// fans out over the pool (a serving worker waiting for requests): the
+    /// pool keeps `budget − 1` workers to help such a burst, and a task
+    /// parked on one of them would leave its own jobs a helper short.
+    pub fn spawn_dedicated<F>(&self, budget: usize, f: F)
+    where
+        F: FnOnce() + Send + 'env,
+    {
+        spawn_stage_thread(self.task(budget, f));
+    }
+
+    /// Registers `f` with this scope's join and erases its lifetime.
+    fn task<F>(&self, budget: usize, f: F) -> StageTask
+    where
+        F: FnOnce() + Send + 'env,
+    {
         self.join.add_task();
         let run: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
         // SAFETY: `scope` joins every task (waits for the count to reach
         // zero) before returning — on the panic path included — so the
         // borrows inside `f` outlive its execution.
         let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
-        Pool::get().submit_task(StageTask {
+        StageTask {
             run,
             budget: budget.max(1),
             join: Arc::clone(&self.join),
-        });
+        }
     }
 }
 

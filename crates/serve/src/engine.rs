@@ -264,10 +264,15 @@ impl<S: Scalar> ServeEngine<S> {
     /// then drains the queue and joins the workers. Replies are delivered
     /// to `sink(id, outputs)` from worker threads; the outputs slice is
     /// only valid for the duration of the call.
+    ///
+    /// Each worker runs on a dedicated runtime thread
+    /// ([`TaskScope::spawn_dedicated`](ep2_runtime::TaskScope::spawn_dedicated)):
+    /// it waits for requests most of its life, and parked on a pool worker
+    /// it would take the helper its own GEMMs fan out to.
     pub fn run<R>(&self, sink: &(dyn Fn(&str, &[S]) + Sync), driver: impl FnOnce() -> R) -> R {
         ep2_runtime::scope(|s| {
             for _ in 0..self.plan.workers {
-                s.spawn(self.plan.worker_threads, || self.worker_loop(sink));
+                s.spawn_dedicated(self.plan.worker_threads, || self.worker_loop(sink));
             }
             // Close the queue even when the driver panics: the workers
             // block on the condvar and would otherwise never be joined.

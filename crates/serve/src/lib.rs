@@ -31,8 +31,13 @@
 //!   queueing past the budget. `stats` reports the fit next to the
 //!   measured batch times.
 //! - [`engine::ServeEngine`] runs the workers on [`ep2_runtime::scope`],
-//!   shares the model read-only via `Arc`, and recycles request and
-//!   matrix buffers so the steady-state hot path allocates nothing.
+//!   each on a dedicated runtime thread, shares the model read-only via
+//!   `Arc`, and recycles request and matrix buffers so the steady-state
+//!   hot path allocates nothing. The plan's default is one worker on the
+//!   whole thread budget: a small batch costs about one stream of the
+//!   packed model, and the GEMM splits a few-row product against packed
+//!   panels by columns, so one batch streams the model on every thread at
+//!   once instead of two single-thread batches each streaming all of it.
 //! - **Packed panels.** At start-up the engine packs the centers and
 //!   weights once into the GEMM engines' panel layout
 //!   ([`KernelModel::pack`](ep2_core::KernelModel::pack), one packed block

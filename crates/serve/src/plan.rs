@@ -15,7 +15,8 @@ pub struct ServeConfig {
     /// Admission latency budget in microseconds; defaults to a multiple of
     /// the estimated full-batch execution time.
     pub latency_budget_us: Option<u64>,
-    /// Worker count; defaults to 2 (capped by the thread budget).
+    /// Worker count; defaults to 1, which runs each batch on the whole
+    /// thread budget (capped by the thread budget).
     pub workers: Option<usize>,
 }
 
@@ -80,9 +81,15 @@ impl ServePlan {
         let row_ops = (n * (d + l)) as f64;
         let est_row_us = row_ops / spec.peak_flops * 1e6;
 
+        // One worker with the whole thread budget by default: a batch of a
+        // few rows costs about the time to stream the packed model once,
+        // and one batch split over every thread (the column-split GEMM)
+        // streams it at every core's rate, where two one-thread workers
+        // each stream all of it for their own batch; a large batch splits
+        // by rows either way.
         let workers = config
             .workers
-            .unwrap_or(2)
+            .unwrap_or(1)
             .clamp(1, ep2_runtime::configured_threads());
         let worker_threads = (ep2_runtime::configured_threads() / workers).max(1);
 
