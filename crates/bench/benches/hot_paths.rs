@@ -228,101 +228,7 @@ fn bench_assembly_packed(_c: &mut Criterion) {
     write_bench_json(&records);
 }
 
-/// The fused-epilogue acceptance comparison: cross assembly through the
-/// fused write-back ([`kmat::kernel_cross_into`]) against the two-pass
-/// reference (`gemm_nt`, then a separate element-wise profile pass), per
-/// precision — the PR's claim is one memory sweep per output tile instead
-/// of two, with bit-identical results (pinned by the `fused_parity` suite;
-/// this bench measures the speed side). Also measures the symmetric
-/// `kernel_matrix` lower-triangle epilogue (profile evaluated on the
-/// diagonal-and-lower half only, upper mirrored) against full fused
-/// assembly + symmetrize — the "skip the redundant profile work" question,
-/// answered by measurement.
-fn bench_assembly_fused(_c: &mut Criterion) {
-    use ep2_linalg::Bf16;
-
-    let kernel = GaussianKernel::new(5.0);
-    let sizes: &[usize] = if criterion::smoke_mode() {
-        &[256]
-    } else {
-        &[1000, 4000]
-    };
-    let mut records = Vec::new();
-    for &n in sizes {
-        let d = 256;
-        let x64 = lcg_matrix(n, d, 9);
-        let y64 = lcg_matrix(n, d, 10);
-        let samples = if n >= 4000 { 3 } else { 5 };
-
-        fn cross_pair<S: ep2_linalg::Scalar>(
-            kernel: &dyn Kernel<S>,
-            a: &Matrix<S>,
-            b: &Matrix<S>,
-            samples: usize,
-        ) -> (f64, f64) {
-            let a_sq = kmat::row_sq_norms(a);
-            let b_sq = kmat::row_sq_norms(b);
-            let mut out = Matrix::zeros(a.rows(), b.rows());
-            let fused = time_min(samples, || {
-                kmat::kernel_cross_into(kernel, a, b, &a_sq, &b_sq, &mut out)
-            });
-            let two_pass = time_min(samples, || {
-                kmat::kernel_cross_into_two_pass(kernel, a, b, &a_sq, &b_sq, &mut out)
-            });
-            (fused, two_pass)
-        }
-
-        let x32: Matrix<f32> = x64.cast();
-        let y32: Matrix<f32> = y64.cast();
-        let x_bf: Matrix<Bf16> = x64.cast();
-        let y_bf: Matrix<Bf16> = y64.cast();
-        let (fused64, two64) = cross_pair::<f64>(&kernel, &x64, &y64, samples);
-        let (fused32, two32) = cross_pair::<f32>(&kernel, &x32, &y32, samples);
-        let (fused_bf, two_bf) = cross_pair::<Bf16>(&kernel, &x_bf, &y_bf, samples);
-        for (precision, fused, two_pass) in [
-            ("f64", fused64, two64),
-            ("f32", fused32, two32),
-            ("bf16", fused_bf, two_bf),
-        ] {
-            println!(
-                "bench assembly_fused/{n}x{n} d={d} {precision}  fused {fused:.4}s  \
-                 two-pass {two_pass:.4}s  speedup {:.2}x",
-                two_pass / fused
-            );
-            records.push(format!(
-                "    {{\"op\": \"assembly_fused\", \"n\": {n}, \"d\": {d}, \
-                 \"precision\": \"{precision}\", \"fused_s\": {fused:.4}, \
-                 \"two_pass_s\": {two_pass:.4}, \"fused_speedup\": {:.3}}}",
-                two_pass / fused
-            ));
-        }
-
-        // kernel_matrix lower-triangle epilogue vs full fused + symmetrize
-        // (both one memory sweep; the delta is the skipped upper-triangle
-        // profile work, bounded by the profile's share of assembly).
-        let x_sq = kmat::row_sq_norms(&x64);
-        let mut full = Matrix::zeros(n, n);
-        let full_fused = time_min(samples, || {
-            kmat::kernel_cross_into(&kernel, &x64, &x64, &x_sq, &x_sq, &mut full);
-            full.symmetrize();
-        });
-        let lower = time_min(samples, || kmat::kernel_matrix::<f64>(&kernel, &x64));
-        println!(
-            "bench kernel_matrix_lower/{n}x{d} f64  lower+mirror {lower:.4}s  \
-             full+symmetrize {full_fused:.4}s  speedup {:.2}x",
-            full_fused / lower
-        );
-        records.push(format!(
-            "    {{\"op\": \"kernel_matrix_lower\", \"n\": {n}, \"d\": {d}, \
-             \"precision\": \"f64\", \"lower_s\": {lower:.4}, \
-             \"full_fused_s\": {full_fused:.4}, \"lower_speedup\": {:.3}}}",
-            full_fused / lower
-        ));
-    }
-    write_bench_json(&records);
-}
-
-/// The vectorized-transcendental acceptance bench: per-family fused
+/// The vectorized-transcendental acceptance bench: per-family
 /// kernel-cross assembly with the lane-batched `vmath` profile against the
 /// identical assembly forced through scalar libm via
 /// [`ep2_linalg::vmath::set_precise_math`] — the pre-vectorization hot
@@ -1214,7 +1120,6 @@ criterion_group!(
     bench_pool_scaling,
     bench_kernel_assembly,
     bench_assembly_packed,
-    bench_assembly_fused,
     bench_assembly_vectorized_math,
     bench_epoch_time,
     bench_streamed_epoch,

@@ -68,6 +68,6 @@ pub mod precond;
 pub mod trainer;
 
 pub use error::CoreError;
-pub use model::{KernelModel, PackedModel, PredictBuffers, PredictEpilogue, PredictOptions};
+pub use model::{KernelModel, PackedModel, PredictBuffers, PredictOptions};
 pub use persist::AnyModel;
 pub use precond::Preconditioner;

@@ -19,41 +19,10 @@ pub const DEFAULT_PREDICT_BLOCK_ROWS: usize = 1024;
 const MIN_PLANNED_BLOCK: usize = 16;
 const MIN_PLANNED_TILE: usize = 64;
 
-/// Post-GEMM transform applied to each predicted row block before it is
-/// written back — the prediction-side analogue of the fused GEMM epilogue.
+/// How [`KernelModel::predict_with`] evaluates.
 ///
-/// [`PredictEpilogue::Identity`] is bitwise free: no pass runs at all, so
-/// identity predictions are bit-for-bit what the raw `K·α` product produces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PredictEpilogue {
-    /// Return raw `K·α` untouched (no pass over the output runs).
-    Identity,
-    /// Affine map `y ← scale · y + bias` per output element, evaluated in
-    /// f64 and rounded once back to the storage precision.
-    Affine {
-        /// Multiplicative factor.
-        scale: f64,
-        /// Additive offset.
-        bias: f64,
-    },
-}
-
-impl PredictEpilogue {
-    fn apply<S: Scalar>(&self, block: &mut Matrix<S>) {
-        if let PredictEpilogue::Affine { scale, bias } = *self {
-            for v in block.as_mut_slice() {
-                *v = S::from_f64(scale * v.to_f64() + bias);
-            }
-        }
-    }
-}
-
-/// How [`KernelModel::predict_with`] evaluates: the one entry point behind
-/// which the historical `predict` / `predict_blocked` / `predict_tiled`
-/// trio collapsed.
-///
-/// Build it fluently — defaults are the old `predict` behaviour (1024-row
-/// blocks, full-width kernel panels, identity epilogue):
+/// Build it fluently — defaults are 1024-row blocks and full-width kernel
+/// panels:
 ///
 /// ```
 /// use ep2_core::model::PredictOptions;
@@ -69,12 +38,9 @@ pub struct PredictOptions {
     /// Rows of `x` evaluated per kernel panel (`> 0`).
     pub block_rows: usize,
     /// Center-side tile width; `None` materialises full `block_rows x n`
-    /// panels (the historical `predict_blocked` shape), `Some(t)` caps the
-    /// transient panel at `block_rows x t` and accumulates tile by tile
-    /// (the historical `predict_tiled` shape).
+    /// panels, `Some(t)` caps the transient panel at `block_rows x t` and
+    /// accumulates tile by tile.
     pub col_tile: Option<usize>,
-    /// Output transform fused into the per-block write-back.
-    pub epilogue: PredictEpilogue,
 }
 
 impl Default for PredictOptions {
@@ -82,7 +48,6 @@ impl Default for PredictOptions {
         PredictOptions {
             block_rows: DEFAULT_PREDICT_BLOCK_ROWS,
             col_tile: None,
-            epilogue: PredictEpilogue::Identity,
         }
     }
 }
@@ -102,12 +67,6 @@ impl PredictOptions {
     /// Sets the center-side tile width.
     pub fn col_tile(mut self, tile: usize) -> Self {
         self.col_tile = Some(tile);
-        self
-    }
-
-    /// Sets the output epilogue.
-    pub fn epilogue(mut self, epilogue: PredictEpilogue) -> Self {
-        self.epilogue = epilogue;
         self
     }
 
@@ -371,10 +330,8 @@ impl<S: Scalar> KernelModel<S> {
     /// This is the single prediction entry point: row blocks of `x` are
     /// evaluated against center-side kernel panels (full width, or tiled by
     /// [`PredictOptions::col_tile`] to respect an out-of-core budget:
-    /// `f += K[:, j0..j1] · α[j0..j1, :]`), and the optional
-    /// [`PredictEpilogue`] is applied per block before write-back. One
-    /// kernel-panel buffer is recycled across *all* row blocks and column
-    /// tiles.
+    /// `f += K[:, j0..j1] · α[j0..j1, :]`). One kernel-panel buffer is
+    /// recycled across *all* row blocks and column tiles.
     ///
     /// # Panics
     ///
@@ -435,52 +392,6 @@ impl<S: Scalar> KernelModel<S> {
             c_sq: kmat::row_sq_norms(&self.centers),
             tiles,
         }
-    }
-
-    /// Predicts `f(x)` for every row of `x` under the default
-    /// [`PredictOptions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.dim()`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use predict_with(&x, &PredictOptions::default())"
-    )]
-    pub fn predict(&self, x: &Matrix<S>) -> Matrix<S> {
-        self.predict_with(x, &PredictOptions::default())
-    }
-
-    /// [`KernelModel::predict_with`] with only the row block overridden.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.dim()` or `block_rows == 0`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use predict_with(&x, &PredictOptions::new().block_rows(r))"
-    )]
-    pub fn predict_blocked(&self, x: &Matrix<S>, block_rows: usize) -> Matrix<S> {
-        self.predict_with(x, &PredictOptions::new().block_rows(block_rows))
-    }
-
-    /// [`KernelModel::predict_with`] with row block and column tile
-    /// overridden.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != self.dim()` or either blocking factor is 0.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use predict_with(&x, &PredictOptions::new().block_rows(r).col_tile(t))"
-    )]
-    pub fn predict_tiled(&self, x: &Matrix<S>, block_rows: usize, col_tile: usize) -> Matrix<S> {
-        self.predict_with(
-            x,
-            &PredictOptions::new()
-                .block_rows(block_rows)
-                .col_tile(col_tile),
-        )
     }
 
     /// Predicts from a precomputed kernel block `k_block[i][j] = k(x_i,
@@ -580,8 +491,8 @@ fn check_opts(opts: &PredictOptions) {
 }
 
 /// The prediction loop both paths run: row blocks of `x` against
-/// center-side tiles (`f += K[:, j0..j1] · α[j0..j1, :]`), then the
-/// epilogue per block. Center-side norms come from the recycled cache
+/// center-side tiles (`f += K[:, j0..j1] · α[j0..j1, :]`). Center-side
+/// norms come from the recycled cache
 /// (per-call path, revalidated by Arc identity) or the packed model; the
 /// input-side norms, staged block, kernel panel and output block live in
 /// `bufs`.
@@ -668,7 +579,6 @@ fn predict_blocks<S: Scalar>(
                 }
             }
         }
-        opts.epilogue.apply(f_block);
         for i in 0..rows {
             out.row_mut(row0 + i).copy_from_slice(f_block.row(i));
         }
@@ -741,27 +651,6 @@ mod tests {
                 assert!((u - v).abs() < 1e-14, "tile {rows}x{cols}");
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_are_bitwise_equal_to_predict_with() {
-        let mut m = toy_model();
-        m.weights_mut()
-            .as_mut_slice()
-            .copy_from_slice(&[0.5, -1.0, 2.0, 0.0, -0.3, 0.7]);
-        let x = Matrix::from_fn(9, 2, |i, j| (i as f64) * 0.21 - (j as f64) * 0.4);
-        assert_eq!(m.predict(&x).as_slice(), predict_default(&m, &x).as_slice());
-        assert_eq!(
-            m.predict_blocked(&x, 4).as_slice(),
-            m.predict_with(&x, &PredictOptions::new().block_rows(4))
-                .as_slice()
-        );
-        assert_eq!(
-            m.predict_tiled(&x, 4, 2).as_slice(),
-            m.predict_with(&x, &PredictOptions::new().block_rows(4).col_tile(2))
-                .as_slice()
-        );
     }
 
     #[test]
@@ -883,24 +772,6 @@ mod tests {
         m.pack(&opts)
             .predict_into(&x, &mut PredictBuffers::new(), &mut out);
         assert_eq!(out.as_slice(), m.predict_with(&x, &opts).as_slice());
-    }
-
-    #[test]
-    fn affine_epilogue_maps_outputs() {
-        let mut m = toy_model();
-        m.weights_mut()
-            .as_mut_slice()
-            .copy_from_slice(&[0.5, -1.0, 2.0, 0.0, -0.3, 0.7]);
-        let x = Matrix::from_fn(5, 2, |i, j| (i as f64) * 0.3 - (j as f64) * 0.1);
-        let base = predict_default(&m, &x);
-        let opts = PredictOptions::new().epilogue(PredictEpilogue::Affine {
-            scale: 2.0,
-            bias: -1.0,
-        });
-        let mapped = m.predict_with(&x, &opts);
-        for (u, v) in mapped.as_slice().iter().zip(base.as_slice()) {
-            assert_eq!(*u, 2.0 * v - 1.0);
-        }
     }
 
     #[test]

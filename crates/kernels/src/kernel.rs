@@ -170,10 +170,9 @@ macro_rules! radial_kernel {
     // bit. For bf16 (`Compute = f32`) it is both faster and tighter than
     // storage-width arithmetic: evaluating in `Bf16` pays a
     // widen/op/round-to-nearest-even narrow round-trip *per operation* —
-    // measured as the dominant share of the bf16 assembly gap vs f32
-    // (`BENCH_gemm.json`, `assembly_fused` rows) — and each intermediate
-    // narrowing adds a 2^-8 relative rounding the final result keeps. One
-    // rounding at the end strictly refines both.
+    // measured as the dominant share of the bf16 assembly gap vs f32 —
+    // and each intermediate narrowing adds a 2^-8 relative rounding the
+    // final result keeps. One rounding at the end strictly refines both.
     ($(#[$doc:meta])* $name:ident, $label:literal,
      consts: |$sigma:ident| [$($cinit:expr),+ $(,)?],
      profile: |$d2:ident, $out:ident, $cst:ident, $narrow:ident, [$($c:ident),+]| $body:block) => {

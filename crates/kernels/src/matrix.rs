@@ -2,26 +2,20 @@
 //! precision [`Scalar`].
 //!
 //! For radial kernels the `n x m` cross matrix `K[i][j] = k(a_i, b_j)` is
-//! assembled as `g(‖a_i‖² + ‖b_j‖² − 2 a_i·b_j)`: one GEMM with the
-//! d²-reassembly and radial profile **fused into its write-back** as a
-//! [`blas::gemm_nt_epilogue`] hook, so each output tile is touched exactly
-//! once while it is cache-hot. This is exactly how GPU kernel methods
-//! (including the reference EigenPro implementation) compute kernels, so
-//! the operation count `(2d + c) · n · m` matches the device cost model.
-//! Instantiated at `f32` this is the paper's actual GPU configuration. The
-//! pre-fusion two-pass assembly (GEMM, then a separate element-wise pass
-//! re-reading the whole output) is kept as [`kernel_cross_into_two_pass`],
-//! the reference the parity suite pins the fused path against bit for bit
-//! and the baseline `hot_paths` measures it against (`assembly_fused` rows
-//! in `BENCH_gemm.json`). On the 1-core dev host the radial profile's
-//! `exp` dominates assembly and the two paths run at parity — the fusion
-//! win there is structural (one write-back sweep, and an epilogue seam
-//! serve-path hooks can reuse); the measured bf16 assembly win rides the
-//! profile's `Compute`-width evaluation (see [`crate::Kernel`]), which
-//! measuring the fused path surfaced.
+//! assembled as `g(‖a_i‖² + ‖b_j‖² − 2 a_i·b_j)` in two steps: one GEMM
+//! ([`blas::gemm_nt`], or [`gemm::gemm_prepacked`] against packed centers)
+//! writes the `−2 a_i·b_j` cross terms into the output, then one parallel
+//! pass reassembles each `d²` and maps it through the radial profile in
+//! place. This is exactly how GPU kernel methods (including the reference
+//! EigenPro implementation) compute kernels, so the operation count
+//! `(2d + c) · n · m` matches the device cost model: the GEMM is the `2d`,
+//! the profile pass the `c`. Instantiated at `f32` this is the paper's
+//! actual GPU configuration. Mapping each cache block through the profile
+//! inside the GEMM's write-back instead measured no faster on CPU, so the
+//! engines store plain products and this module owns the profile.
 
 use crate::Kernel;
-use ep2_linalg::gemm::{self, Epilogue, PackedB, View};
+use ep2_linalg::gemm::{self, PackedB, View};
 use ep2_linalg::{blas, ops, parallel, vmath, Matrix, Scalar};
 use std::ops::Range;
 
@@ -97,22 +91,19 @@ pub fn kernel_cross_into<S: Scalar>(
     b_sq: &[S::Accum],
     out: &mut Matrix<S>,
 ) {
-    let Some(epi) = assembly_preamble(kernel, a, b.shape(), a_sq, b_sq, out, false) else {
-        return;
-    };
+    check_shapes(a, b.shape(), a_sq, b_sq, out);
     // -2 A B^T through the packed register-blocked engine (B^T is a stride
-    // swap at packing time), with the d² reassembly and radial profile
-    // fused into the C write-back: each tile is mapped while still cache-
-    // hot instead of being stored, re-read and re-stored by a second pass.
-    blas::gemm_nt_epilogue(S::from_f64(-2.0), a, b, S::ZERO, out, &epi);
+    // swap at packing time), then the profile over the stored product.
+    blas::gemm_nt(S::from_f64(-2.0), a, b, S::ZERO, out);
+    profile_pass(kernel, a_sq, b_sq, out);
 }
 
 /// [`kernel_cross_into`] against centers packed once ahead of the call:
 /// `b_packed` is [`pack_centers`] of the center rows whose norms are
-/// `b_sq`. Same GEMM engines, microkernel, write-back and fused profile
-/// epilogue as [`kernel_cross_into`] on those rows, so `out` is bitwise the
-/// same; only the per-call strided gather of the centers is gone. This is
-/// the serving hot path's assembly.
+/// `b_sq`. The GEMM reads the same panels through the same engines and
+/// write-back, and the same profile pass follows, so `out` is bitwise
+/// [`kernel_cross_into`]'s on those rows; only the per-call strided gather
+/// of the centers is gone. This is the serving hot path's assembly.
 ///
 /// # Panics
 ///
@@ -126,18 +117,15 @@ pub fn kernel_cross_prepacked_into<S: Scalar>(
     b_sq: &[S::Accum],
     out: &mut Matrix<S>,
 ) {
-    let b_shape = (b_packed.cols(), b_packed.rows());
-    let Some(epi) = assembly_preamble(kernel, a, b_shape, a_sq, b_sq, out, false) else {
-        return;
-    };
-    gemm::gemm_prepacked_epilogue(
+    check_shapes(a, (b_packed.cols(), b_packed.rows()), a_sq, b_sq, out);
+    gemm::gemm_prepacked(
         S::from_f64(-2.0),
         View::row_major(a.as_slice(), a.rows(), a.cols()),
         b_packed,
         S::ZERO,
         out.as_mut_slice(),
-        &epi,
     );
+    profile_pass(kernel, a_sq, b_sq, out);
 }
 
 /// Packs the center rows `rows` of `b` as the right-hand operand of the
@@ -153,40 +141,47 @@ pub fn pack_centers<S: Scalar>(b: &Matrix<S>, rows: Range<usize>) -> PackedB<S> 
     PackedB::pack(View::transposed(slice, rows.len(), d))
 }
 
-/// The pre-fusion two-pass assembly, kept as the reference baseline: the
-/// plain `gemm_nt` cross-term product followed by a separate element-wise
-/// profile pass over `out`. Same contract as [`kernel_cross_into`]; the
-/// `fused_parity` suite asserts the two produce **bit-for-bit identical**
-/// output for every kernel family × precision × engine, and `hot_paths`
-/// measures the fusion win against this path.
-///
-/// # Panics
-///
-/// Panics if the feature dimensions differ, `out` is not
-/// `a.rows() x b.rows()`, or a norm slice is shorter than its side.
-pub fn kernel_cross_into_two_pass<S: Scalar>(
-    kernel: &dyn Kernel<S>,
+/// Shared shape checks of the assembly entry points (`(m, b_dim)` is the
+/// center side's `(rows, features)`).
+fn check_shapes<S: Scalar>(
     a: &Matrix<S>,
-    b: &Matrix<S>,
+    (m, b_dim): (usize, usize),
+    a_sq: &[S::Accum],
+    b_sq: &[S::Accum],
+    out: &Matrix<S>,
+) {
+    assert_eq!(a.cols(), b_dim, "kernel_cross_into: feature dims differ");
+    let n = a.rows();
+    assert_eq!(out.shape(), (n, m), "kernel_cross_into: bad output shape");
+    assert!(a_sq.len() >= n && b_sq.len() >= m, "norm slice too short");
+}
+
+/// Entries per work unit of the profile pass: a multiple of
+/// [`vmath::BLOCK`], so segments stay full-width inside a row, and small
+/// enough that a served batch of a few rows against thousands of centers
+/// still spreads over every thread.
+const PROFILE_CHUNK: usize = 1024;
+
+/// The profile pass: maps every stored `-2 a_i·b_j` cross term of `out`
+/// to `k(a_i, b_j)` in place, in parallel over [`PROFILE_CHUNK`]-entry
+/// chunks and, within a chunk, over row segments of at most
+/// [`vmath::BLOCK`] entries.
+///
+/// The squared distance is reassembled at Accum width — the norms never
+/// rounded to `S` — and narrows exactly once, going into the radial
+/// profile; under bf16 storage each stored entry therefore carries a
+/// handful of 2^-8 relative roundings (see README, "Precision"), not an
+/// O(‖x‖²)-sized cancellation error. Per entry this is exactly
+/// `of_sq_dist(S::from_accum(max(a_sq[i] + b_sq[j] + stored.accum(), 0)))`,
+/// so the chunking never changes a bit.
+fn profile_pass<S: Scalar>(
+    kernel: &dyn Kernel<S>,
     a_sq: &[S::Accum],
     b_sq: &[S::Accum],
     out: &mut Matrix<S>,
 ) {
-    if assembly_preamble(kernel, a, b.shape(), a_sq, b_sq, out, false).is_none() {
-        return;
-    }
-    let m = b.rows();
-    // Pass 1 — the cross-term GEMM, dominant cost of assembly.
-    blas::gemm_nt(S::from_f64(-2.0), a, b, S::ZERO, out);
-    // Pass 2 — element-wise radial profile, parallel over row chunks. The
-    // squared distance is reassembled at Accum width — the norms never
-    // rounded to `S` — and narrows exactly once, going into the radial
-    // profile; under bf16 storage each stored entry therefore carries a
-    // handful of 2^-8 relative roundings (see README, "Precision"), not an
-    // O(‖x‖²)-sized cancellation error. (The fused epilogue replicates
-    // exactly this chain, reading the stored-rounded cross term.)
-    let cols = m;
-    parallel::for_each_chunk_mut(out.as_mut_slice(), cols.max(1) * 64, |off, chunk| {
+    let cols = out.cols();
+    parallel::for_each_chunk_mut(out.as_mut_slice(), PROFILE_CHUNK, |off, chunk| {
         let mut d2 = [<S::Compute as Scalar>::ZERO; vmath::BLOCK];
         let mut pos = 0;
         while pos < chunk.len() {
@@ -205,8 +200,7 @@ pub fn kernel_cross_into_two_pass<S: Scalar>(
 /// norms, clamps at Accum width, and narrows through storage to
 /// [`Scalar::Compute`] with a final nonnegativity clamp — per lane exactly
 /// the scalar chain `of_sq_dist(S::from_accum(d2))` runs up to its profile
-/// body, as one vectorizable loop shared by the fused epilogue and the
-/// two-pass reference.
+/// body, as one vectorizable loop.
 #[inline]
 fn d2_lanes<S: Scalar>(a_sq_i: S::Accum, b_sq: &[S::Accum], stored: &[S], d2: &mut [S::Compute]) {
     for ((d, &bs), &v) in d2.iter_mut().zip(b_sq).zip(stored) {
@@ -217,126 +211,18 @@ fn d2_lanes<S: Scalar>(a_sq_i: S::Accum, b_sq: &[S::Accum], stored: &[S], d2: &m
     }
 }
 
-/// Shared shape checks of the assembly entry points (`(m, b_dim)` is the
-/// center side's `(rows, features)`); returns the fused epilogue to run, or
-/// `None` when the output is empty and the caller is done.
-fn assembly_preamble<'k, S: Scalar>(
-    kernel: &'k dyn Kernel<S>,
-    a: &Matrix<S>,
-    (m, b_dim): (usize, usize),
-    a_sq: &'k [S::Accum],
-    b_sq: &'k [S::Accum],
-    out: &mut Matrix<S>,
-    lower_only: bool,
-) -> Option<ProfileEpilogue<'k, S>> {
-    assert_eq!(a.cols(), b_dim, "kernel_cross_into: feature dims differ");
-    let n = a.rows();
-    assert_eq!(out.shape(), (n, m), "kernel_cross_into: bad output shape");
-    assert!(a_sq.len() >= n && b_sq.len() >= m, "norm slice too short");
-    if n == 0 || m == 0 {
-        return None;
-    }
-    Some(ProfileEpilogue {
-        kernel,
-        a_sq,
-        b_sq,
-        lower_only,
-    })
-}
-
-/// The fused assembly hook: maps one fully-accumulated `-2 a_i·b_j` cross
-/// term to `k(a_i, b_j)` inside the GEMM write-back.
-struct ProfileEpilogue<'k, S: Scalar> {
-    kernel: &'k dyn Kernel<S>,
-    a_sq: &'k [S::Accum],
-    b_sq: &'k [S::Accum],
-    /// When set, strictly-upper entries (`col > row`) short-circuit to zero
-    /// and the symmetric [`kernel_matrix`] path mirrors the lower triangle
-    /// instead — half the profile evaluations skipped.
-    lower_only: bool,
-}
-
-impl<S: Scalar> Epilogue<S> for ProfileEpilogue<'_, S> {
-    #[inline]
-    fn apply(&self, row: usize, col: usize, acc: S::Compute) -> S {
-        if self.lower_only && col > row {
-            return S::ZERO;
-        }
-        // Round the cross term through storage first, exactly as the
-        // two-pass reference stores it before re-reading (identity for the
-        // native floats; the single bf16 narrowing, now in-register), then
-        // reassemble d² at Accum width. This keeps the fused chain
-        // bit-for-bit the reference chain — the win is the eliminated
-        // memory round-trip, not dropped rounding steps.
-        let stored = S::from_compute(acc);
-        let d2 = (self.a_sq[row] + self.b_sq[col] + stored.accum()).max(S::Accum::ZERO);
-        self.kernel.of_sq_dist(S::from_accum(d2))
-    }
-
-    // The batched write-back: same chain as `apply`, but staged — storage
-    // rounding of the whole segment, then lane-batched d² reassembly, then
-    // the kernel's lane-batched profile — so the transcendental tail runs
-    // a vector register wide instead of one libm call per entry. Per lane
-    // the arithmetic is identical to `apply`, which is what keeps the
-    // fused and two-pass paths bit-for-bit equal however the engines
-    // segment rows.
-    fn apply_row(&self, row: usize, col0: usize, acc: &[S::Compute], out: &mut [S]) {
-        debug_assert_eq!(acc.len(), out.len());
-        // With `lower_only` set, entries past the diagonal zero out and
-        // skip the profile entirely; only the prefix up to (and including)
-        // the diagonal is live.
-        let live = if self.lower_only {
-            (row + 1).saturating_sub(col0).min(acc.len())
-        } else {
-            acc.len()
-        };
-        let a_sq_i = self.a_sq[row];
-        let mut d2 = [<S::Compute as Scalar>::ZERO; vmath::BLOCK];
-        let mut j = 0;
-        while j < live {
-            let len = (live - j).min(vmath::BLOCK);
-            let seg = &mut out[j..j + len];
-            for (o, &a) in seg.iter_mut().zip(&acc[j..j + len]) {
-                *o = S::from_compute(a);
-            }
-            d2_lanes(
-                a_sq_i,
-                &self.b_sq[col0 + j..col0 + j + len],
-                seg,
-                &mut d2[..len],
-            );
-            self.kernel.profile_lanes(&d2[..len], seg);
-            j += len;
-        }
-        for o in &mut out[live..] {
-            *o = S::ZERO;
-        }
-    }
-}
-
-/// Assembles the symmetric kernel matrix `K[i][j] = k(x_i, x_j)`.
+/// Assembles the symmetric kernel matrix `K[i][j] = k(x_i, x_j)`: the full
+/// cross assembly of `x` against itself, sharing one set of row norms, with
+/// the diagonal then set to `k(0)`.
 ///
-/// The result is exactly symmetric with a unit diagonal (enforced after the
-/// floating-point assembly). The row norms are computed once and shared by
-/// both sides of the Gram expansion.
-///
-/// The fused epilogue only evaluates the radial profile on the
-/// diagonal-and-lower triangle and the upper one is mirrored — bitwise the
-/// full assembly, because the cross matrix of `x` against itself is exactly
-/// symmetric at every precision (entries `(i, j)` and `(j, i)` run the same
-/// products through the same per-slab chain, whatever tile each lands in),
-/// at half the profile cost (measured: 1.07–1.22x `kernel_matrix`
-/// wall-clock at d = 256, n = 1000/4000 — the `kernel_matrix_lower` rows
-/// in `BENCH_gemm.json`; the GEMM itself still computes both triangles, so
-/// the saving is bounded by the profile share).
+/// The result is exactly symmetric with a unit diagonal. No symmetrising
+/// pass is needed: entries `(i, j)` and `(j, i)` run the same products
+/// through the same per-slab chain, whatever tile each lands in, and the
+/// same norms in either order, at every precision.
 pub fn kernel_matrix<S: Scalar>(kernel: &dyn Kernel<S>, x: &Matrix<S>) -> Matrix<S> {
     let x_sq = row_sq_norms(x);
     let n = x.rows();
-    let mut k = Matrix::zeros(n, n);
-    if let Some(epi) = assembly_preamble(kernel, x, x.shape(), &x_sq, &x_sq, &mut k, true) {
-        blas::gemm_nt_epilogue(S::from_f64(-2.0), x, x, S::ZERO, &mut k, &epi);
-        k.mirror_lower();
-    }
+    let mut k = kernel_cross_with_norms(kernel, x, x, &x_sq, &x_sq);
     for i in 0..n {
         k[(i, i)] = kernel.of_sq_dist(S::ZERO);
     }
@@ -505,8 +391,8 @@ mod tests {
 
     #[test]
     fn bf16_kernel_matrix_is_the_full_assembly() {
-        // The lower-triangle-and-mirror path equals the full cross assembly
-        // bit for bit at bf16 too: the cross matrix is exactly symmetric.
+        // The cross matrix of `x` against itself is exactly symmetric at
+        // bf16 too, so `kernel_matrix` needs no symmetrising pass.
         let k = GaussianKernel::new(1.1);
         let kernel: &dyn Kernel<ep2_linalg::Bf16> = &k;
         let x: Matrix<ep2_linalg::Bf16> = points(70, 300, 41).cast();

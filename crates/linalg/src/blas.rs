@@ -7,19 +7,21 @@
 //! engine in [`crate::gemm`]: operands are packed once into L1/L2-sized
 //! zero-padded panels (`MC/KC/NC` blocking) and consumed by an `MR x NR`
 //! register microkernel (6x16 lanes at `f32`, 8x8 at `f64` — see
-//! [`Scalar::microkernel`]), with the rows of `C` striped over scoped
-//! threads. That register tile is what makes the device simulator's cost
-//! model (`flops = 2 m k n`) an honest description of this code: measured on
-//! the dev container (see `BENCH_gemm.json`) the packed f32 kernel sustains
-//! ~77 Gflop/s at 4096² — 7.4x the seed axpy GEMM it replaced and ~2.3x the
-//! packed f64 rate — which is where the paper's single-precision speedup
-//! comes from on CPU.
+//! [`Scalar::microkernel`]), with the rows of `C` split over the runtime's
+//! worker pool. Products store plain results: kernel assembly runs
+//! [`gemm_nt`] and then maps its output through the radial profile in a
+//! pass of its own. That register tile is what makes the device
+//! simulator's cost model (`flops = 2 m k n`) an honest description of
+//! this code: measured at two threads (see `BENCH_gemm.json`) the packed
+//! f32 kernel sustains ~135 Gflop/s at 4096² — 13.6x the seed axpy GEMM
+//! it replaced and ~1.8x the packed f64 rate — which is where the paper's
+//! single-precision speedup comes from on CPU.
 //!
 //! The seed `i-k-j` axpy implementation is kept as [`gemm_axpy`] — it is the
 //! baseline the benches compare against and a second reference for the
 //! property tests.
 
-use crate::gemm::{gemm_auto, gemm_auto_epilogue, Epilogue, View};
+use crate::gemm::{gemm_auto, View};
 use crate::ops;
 use crate::parallel;
 use crate::scalar::Scalar;
@@ -270,40 +272,6 @@ pub fn gemm_nt<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &m
         View::transposed(b.as_slice(), b.rows(), b.cols()),
         beta,
         c.as_mut_slice(),
-    );
-}
-
-/// [`gemm_nt`] with a fused write-back epilogue
-/// ([`Epilogue`]): each fully-accumulated entry is
-/// handed to `epi` at [`Scalar::Compute`] width — while its register tile
-/// is still cache-hot — instead of being stored directly. This is the entry
-/// point kernel assembly uses to apply the radial profile inside the
-/// `-2 A B^T` cross-term product's write-back, collapsing assembly from two
-/// memory sweeps per tile to one; see [`crate::gemm::Epilogue`] for the
-/// exactness contract (fused ≡ plain-GEMM-then-map, bit for bit).
-///
-/// # Panics
-///
-/// Panics if the shapes are incompatible
-/// (`a.cols() != b.cols()`, `c.shape() != (a.rows(), b.rows())`).
-pub fn gemm_nt_epilogue<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    beta: S,
-    c: &mut Matrix<S>,
-    epi: &E,
-) {
-    assert_eq!(a.cols(), b.cols(), "gemm_nt: inner dimension mismatch");
-    assert_eq!(c.rows(), a.rows(), "gemm_nt: C row mismatch");
-    assert_eq!(c.cols(), b.rows(), "gemm_nt: C col mismatch");
-    gemm_auto_epilogue(
-        alpha,
-        View::row_major(a.as_slice(), a.rows(), a.cols()),
-        View::transposed(b.as_slice(), b.rows(), b.cols()),
-        beta,
-        c.as_mut_slice(),
-        epi,
     );
 }
 

@@ -27,11 +27,11 @@
 //!   slab of the shared dimension (the `pc` loop accumulates *through*
 //!   `C`), so a bf16 product carries `ceil(k/KC)` storage roundings per
 //!   entry — exactly one for `k ≤ KC = 256`, and an `O(u·sqrt(k/KC))`
-//!   rounding walk beyond that. Column-tiling (`predict_tiled`, the
-//!   streamed tile ring) caps `k` at the tile width; at `k/KC` approaching
-//!   `2^8` slab contributions start falling below one ulp of the running
-//!   partial and bf16 accumulation stalls (see `tests/precision.rs` for
-//!   the enforced per-slab bound).
+//!   rounding walk beyond that. Column-tiling (`PredictOptions::col_tile`,
+//!   the streamed tile ring) caps `k` at the tile width; at `k/KC`
+//!   approaching `2^8` slab contributions start falling below one ulp of
+//!   the running partial and bf16 accumulation stalls (see
+//!   `tests/precision.rs` for the enforced per-slab bound).
 //! - **Register blocking**: the `MR x NR` accumulator tile
 //!   ([`crate::Scalar::microkernel`]; 6x16 for `f32`, 8x8 for `f64` — one
 //!   512-bit FMA accumulator per f32 row, 6-8 independent FMA chains to
@@ -43,6 +43,11 @@
 //!   `mr x nr` corner of `C`, which is then copied back — no scalar
 //!   fallback loops to keep correct, and the same per-entry write-back as
 //!   an interior tile, so an entry's bits never depend on the tiling.
+//! - **Plain write-back only**: `C` receives the product and nothing else.
+//!   Kernel assembly (`ep2_kernels::matrix`) maps the finished product
+//!   through its radial profile in one separate pass; mapping each cache
+//!   block inside the engines measured no faster, and cost a hook on every
+//!   engine.
 //! - **Pre-packed operands** ([`PackedB`], [`gemm_prepacked`]): an operand
 //!   read by many products (a served model's centers and weights) can be
 //!   packed once into exactly the blocks the engines pack per call; the
@@ -62,18 +67,16 @@
 //!   micro-batch) splits the columns instead, so every thread streams its
 //!   share of B rather than one thread streaming all of it.
 //!
-//! Measured on the dev container (1 core, AVX-512, `target-cpu=native`;
-//! see `BENCH_gemm.json`): f32 sustains 77-87 Gflop/s (7.4-8.7x the seed
-//! axpy GEMM) and f64 34-37 Gflop/s (7.8-11.7x seed), which is what makes
-//! the device simulator's `flops = 2mkn` pricing an honest description of
-//! this code. The f32/f64 packed ratio is 2.25-2.4x: with both precisions
-//! compute-bound at the same vector width the ceiling is the 2x lane gap
-//! plus cache effects — the seed's higher-looking ratio at 4096² came from
-//! f64 cache-thrashing, not from f32 being fast.
+//! Measured at `EP2_THREADS=2` on a 2-core AVX-512 host with
+//! `target-cpu=native` (`BENCH_gemm.json`): f32 sustains 131-135 Gflop/s
+//! (5.5-13.6x the seed axpy GEMM) and f64 64-74 Gflop/s (7.9-14.7x seed),
+//! which is what makes the device simulator's `flops = 2mkn` pricing an
+//! honest description of this code. The f32/f64 packed ratio is
+//! 1.8-2.0x: with both precisions compute-bound at the same vector width
+//! the ceiling is the 2x lane gap plus cache effects.
 
 use crate::parallel;
 use crate::scalar::Scalar;
-use crate::vmath;
 
 /// Rows per packed A block (`MC`): the `MC x KC` packed A slab is the
 /// L2-resident operand (48·256 elements = 48 KiB at f32). A common multiple
@@ -91,100 +94,6 @@ pub const NC: usize = 512;
 const MAX_MR: usize = 8;
 /// Upper bound on `S::MR * S::NR` for stack-allocated scratch tiles.
 const MAX_TILE: usize = 128;
-
-/// A fused `C` write-back hook: maps each fully-accumulated GEMM entry —
-/// at [`Scalar::Compute`] width, while the entry's cache block is still
-/// hot — to the value actually stored, replacing the plain
-/// `C[i,j] = from_compute(acc)` narrowing.
-///
-/// `apply` receives the **global** `(row, col)` of the entry and the
-/// fully-accumulated value `acc = alpha·(A·B)[row,col] + beta·C[row,col]`
-/// (every `KC` slab already folded in; see the engine contract below), and
-/// returns the storage value. This is what lets kernel assembly fuse the
-/// `d² = ‖x‖² + ‖z‖² − 2x·z` reassembly and the radial profile into the
-/// write-back — the separate element-wise pass over `C`, which streamed
-/// every tile through cache a second time, disappears. The hook is
-/// deliberately generic (any `Fn(usize, usize, Compute) -> S` closure
-/// implements it): a serve-path bias/scale epilogue is the same shape.
-///
-/// # Engine contract (exactness)
-///
-/// The epilogue-taking entry points ([`gemm_auto_epilogue`],
-/// [`gemm_packed_epilogue`]) guarantee:
-///
-/// - `apply` runs **exactly once** per `C` entry, only after the entry's
-///   accumulation is complete — in the blocked engines, on the final `pc`
-///   slab of the entry's column block, swept over each `MC x NC` cache
-///   block right after its tiles land (the block is still cache-resident;
-///   this is where the old two-pass scheme's second full-matrix memory
-///   sweep went). Earlier slabs accumulate through `C` in storage
-///   precision exactly as the plain engines do, so the per-entry rounding
-///   chain (one storage rounding per slab for `bf16`) is **bit-for-bit
-///   identical** to running the plain GEMM first.
-/// - The value handed to `apply` is `stored.compute()`, where `stored` is
-///   exactly the plain GEMM's result for that entry, in every engine
-///   (`from_compute . compute` is the identity, so it narrows back to the
-///   same bits) — pinned by the `store_epilogue_matches_plain_gemm` tests.
-/// - Threading never changes what `apply` sees, only which worker calls it.
-///
-/// Implementations must be `Sync`: the packed engines invoke the epilogue
-/// from worker threads.
-pub trait Epilogue<S: Scalar>: Sync {
-    /// Maps the fully-accumulated entry at global `(row, col)` to the value
-    /// to store.
-    fn apply(&self, row: usize, col: usize, acc: S::Compute) -> S;
-
-    /// Row-batched form of [`Epilogue::apply`]: maps the contiguous run of
-    /// fully-accumulated entries `(row, col0 + j)` for `j < acc.len()`,
-    /// writing the storage values into `out`.
-    ///
-    /// The engines hand whole register-tile rows (and row segments on the
-    /// degenerate sweeps) through this hook, so an epilogue can batch
-    /// lane-level work — kernel assembly's vectorized radial profile
-    /// overrides it to run d² reassembly and the profile polynomial a
-    /// vector register at a time. The default is the per-entry loop, which
-    /// keeps plain [`Epilogue::apply`] implementations (closures,
-    /// [`StoreEpilogue`], third-party hooks) exactly as before. An
-    /// override must store bitwise the same values the default would —
-    /// that is what keeps the engine contract's exactness guarantees
-    /// independent of how the engines segment rows.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may assume and debug-assert
-    /// `acc.len() == out.len()`.
-    #[inline]
-    fn apply_row(&self, row: usize, col0: usize, acc: &[S::Compute], out: &mut [S]) {
-        debug_assert_eq!(acc.len(), out.len());
-        for (j, (&a, o)) in acc.iter().zip(out.iter_mut()).enumerate() {
-            *o = self.apply(row, col0 + j, a);
-        }
-    }
-}
-
-impl<S: Scalar, F> Epilogue<S> for F
-where
-    F: Fn(usize, usize, S::Compute) -> S + Sync,
-{
-    #[inline(always)]
-    fn apply(&self, row: usize, col: usize, acc: S::Compute) -> S {
-        self(row, col, acc)
-    }
-}
-
-/// The identity epilogue: stores the accumulated value unchanged
-/// (`from_compute(acc)`), making the fused entry points degenerate to the
-/// plain GEMM bit for bit — the reference point the parity tests pin, and
-/// the phantom type the plain engines instantiate the shared loops with.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreEpilogue;
-
-impl<S: Scalar> Epilogue<S> for StoreEpilogue {
-    #[inline(always)]
-    fn apply(&self, _row: usize, _col: usize, acc: S::Compute) -> S {
-        S::from_compute(acc)
-    }
-}
 
 /// A read-only strided view of a dense operand: entry `(i, j)` lives at
 /// `data[i * rs + j * cs]`. A row-major matrix is `(rs, cs) = (cols, 1)`;
@@ -348,10 +257,7 @@ pub(crate) fn scale_stripe<S: Scalar>(c: &mut [S], beta: S) {
 
 /// Runs one `MR x NR` register tile against the (already beta-scaled) `C`
 /// tile starting at `c[0]`: the plain storage write-back, accumulating
-/// through `C`. Epilogues are not applied here — the blocked engines sweep
-/// them over each completed `MC x NC` cache block instead (see
-/// [`epilogue_block`]), where the batched [`Epilogue::apply_row`] seam gets
-/// full [`vmath::BLOCK`] row segments rather than NR-wide tile rows.
+/// through `C`.
 #[allow(clippy::too_many_arguments)] // mirrors the engine's loop variables 1:1
 #[inline(always)]
 fn compute_tile<S: Scalar>(
@@ -385,58 +291,9 @@ fn compute_tile<S: Scalar>(
     }
 }
 
-/// Applies an epilogue over the freshly-completed cache block
-/// `rows x cols` at `(row0, col0)` of the stripe `c` (local row 0 ==
-/// global row `row0`), in [`vmath::BLOCK`]-wide row segments widened back
-/// to compute width. Runs on the worker that owns the stripe, immediately
-/// after the block's final-slab tiles land — the block is still
-/// cache-resident, so this costs the sweep's arithmetic, not a second
-/// trip through memory. `from_compute . compute` being the identity makes
-/// the widened value satisfy the [`Epilogue`] contract exactly.
-fn epilogue_block<S: Scalar, E: Epilogue<S>>(
-    c: &mut [S],
-    ldc: usize,
-    row0: usize,
-    rows: usize,
-    col0: usize,
-    cols: usize,
-    epi: &E,
-) {
-    epilogue_block_at(c, ldc, row0, rows, col0, col0, cols, epi);
-}
-
-/// [`epilogue_block`] over a copy of `C`'s columns: the block's columns
-/// start at `local0` in `c` and at global column `col0`.
-#[allow(clippy::too_many_arguments)] // epilogue_block's arguments plus the local offset
-fn epilogue_block_at<S: Scalar, E: Epilogue<S>>(
-    c: &mut [S],
-    ldc: usize,
-    row0: usize,
-    rows: usize,
-    local0: usize,
-    col0: usize,
-    cols: usize,
-    epi: &E,
-) {
-    let mut buf = [S::Compute::ZERO; vmath::BLOCK];
-    for i in 0..rows {
-        let row = &mut c[i * ldc + local0..][..cols];
-        for (s, seg) in row.chunks_mut(vmath::BLOCK).enumerate() {
-            let widened = &mut buf[..seg.len()];
-            for (w, v) in widened.iter_mut().zip(seg.iter()) {
-                *w = v.compute();
-            }
-            epi.apply_row(row0 + i, col0 + s * vmath::BLOCK, widened, seg);
-        }
-    }
-}
-
 /// The per-stripe block loop: accumulates `alpha * A[rows r0..r0+rows] · B`
-/// into the (already beta-scaled) stripe `c` of shape `rows x ldc`. When an
-/// epilogue is given, it fires on the final `pc` slab of each column block
-/// (see [`Epilogue`] for the exactness contract).
-#[allow(clippy::too_many_arguments)] // mirrors the engine's loop variables 1:1
-fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
+/// into the (already beta-scaled) stripe `c` of shape `rows x ldc`.
+fn gemm_stripe<S: Scalar>(
     alpha: S,
     a: &View<'_, S>,
     b: BSource<'_, S>,
@@ -444,7 +301,6 @@ fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
     r0: usize,
     rows: usize,
     ldc: usize,
-    epi: Option<&E>,
 ) {
     let (mr, nr) = (S::MR, S::NR);
     let (k, n) = (a.cols, b.cols());
@@ -454,7 +310,6 @@ fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                let fuse = if pc + KC >= k { epi } else { None };
                 let panels: &[S::Compute] = match b {
                     BSource::View(v) => {
                         pack_b(&v, pc, jc, kc, nc, bp);
@@ -484,9 +339,6 @@ fn gemm_stripe<S: Scalar, E: Epilogue<S>>(
                             );
                         }
                     }
-                    if let Some(epi) = fuse {
-                        epilogue_block(&mut c[ic * ldc..], ldc, r0 + ic, mc, jc, nc, epi);
-                    }
                 }
             }
         }
@@ -508,25 +360,6 @@ pub fn gemm_auto<S: Scalar>(alpha: S, a: View<'_, S>, b: View<'_, S>, beta: S, c
         gemm_small(alpha, a, b, beta, c);
     } else {
         gemm_packed(alpha, a, b, beta, c);
-    }
-}
-
-/// Fused-epilogue variant of [`gemm_auto`]: same [`SMALL_PRODUCT`] dispatch
-/// (depending only on the shape, so fused and plain runs of one shape
-/// always hit the same engine), with `epi` applied to every
-/// fully-accumulated entry per the [`Epilogue`] contract.
-pub fn gemm_auto_epilogue<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: View<'_, S>,
-    b: View<'_, S>,
-    beta: S,
-    c: &mut [S],
-    epi: &E,
-) {
-    if a.rows * a.cols * b.cols <= SMALL_PRODUCT {
-        gemm_small_epilogue(alpha, a, b, beta, c, epi);
-    } else {
-        gemm_packed_epilogue(alpha, a, b, beta, c, epi);
     }
 }
 
@@ -561,26 +394,6 @@ fn gemm_small<S: Scalar>(alpha: S, a: View<'_, S>, b: View<'_, S>, beta: S, c: &
     }
 }
 
-/// [`gemm_small`] followed by the epilogue over each finished row, handed
-/// the stored values widened back to compute width as the blocked engines
-/// hand them.
-fn gemm_small_epilogue<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: View<'_, S>,
-    b: View<'_, S>,
-    beta: S,
-    c: &mut [S],
-    epi: &E,
-) {
-    gemm_small(alpha, a, b, beta, c);
-    let n = b.cols;
-    if n > 0 {
-        for (i, row) in c.chunks_exact_mut(n).enumerate() {
-            epilogue_block(row, n, i, 1, 0, n, epi);
-        }
-    }
-}
-
 /// `C <- alpha * A B + beta * C` over strided views, with `C` a row-major
 /// `m x n` buffer of leading dimension `ldc == n`.
 ///
@@ -601,21 +414,7 @@ fn gemm_small_epilogue<S: Scalar, E: Epilogue<S>>(
 /// Panics if `a.cols != b.rows`, `a.rows * b.cols != c.len() / ldc * ldc`
 /// shape-wise, or `ldc != b.cols`.
 pub fn gemm_packed<S: Scalar>(alpha: S, a: View<'_, S>, b: View<'_, S>, beta: S, c: &mut [S]) {
-    gemm_blocked::<S, StoreEpilogue>(alpha, a, BSource::View(b), beta, c, None);
-}
-
-/// Fused-epilogue variant of [`gemm_packed`]: identical engine dispatch
-/// (per-thread under a budget of 1, cooperative shared-slab otherwise),
-/// with the epilogue firing on each entry's final `KC` slab.
-pub fn gemm_packed_epilogue<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: View<'_, S>,
-    b: View<'_, S>,
-    beta: S,
-    c: &mut [S],
-    epi: &E,
-) {
-    gemm_blocked(alpha, a, BSource::View(b), beta, c, Some(epi));
+    gemm_blocked(alpha, a, BSource::View(b), beta, c);
 }
 
 /// A right-hand GEMM operand packed once, ahead of the products that read
@@ -719,20 +518,7 @@ fn block_offset<S: Scalar>(k: usize, jc: usize, pc: usize, nc: usize) -> usize {
 ///
 /// Panics if `a.cols != b.rows()` or `c.len() != a.rows * b.cols()`.
 pub fn gemm_prepacked<S: Scalar>(alpha: S, a: View<'_, S>, b: &PackedB<S>, beta: S, c: &mut [S]) {
-    gemm_blocked::<S, StoreEpilogue>(alpha, a, BSource::Packed(b), beta, c, None);
-}
-
-/// Fused-epilogue variant of [`gemm_prepacked`], under the [`Epilogue`]
-/// contract.
-pub fn gemm_prepacked_epilogue<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: View<'_, S>,
-    b: &PackedB<S>,
-    beta: S,
-    c: &mut [S],
-    epi: &E,
-) {
-    gemm_blocked(alpha, a, BSource::Packed(b), beta, c, Some(epi));
+    gemm_blocked(alpha, a, BSource::Packed(b), beta, c);
 }
 
 /// Where the blocked engines get their B panels: packed from a view on
@@ -771,29 +557,22 @@ impl<S: Scalar> BSource<'_, S> {
 /// threads, the column-split engine for a pre-packed B with too few rows
 /// to give every thread an `MC` row block, and the cooperative
 /// shared-slab engine otherwise.
-fn gemm_blocked<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: View<'_, S>,
-    b: BSource<'_, S>,
-    beta: S,
-    c: &mut [S],
-    epi: Option<&E>,
-) {
+fn gemm_blocked<S: Scalar>(alpha: S, a: View<'_, S>, b: BSource<'_, S>, beta: S, c: &mut [S]) {
     let threads = parallel::num_threads();
     match b {
-        _ if threads <= 1 => gemm_perthread_impl(alpha, a, b, beta, c, epi),
+        _ if threads <= 1 => gemm_perthread_impl(alpha, a, b, beta, c),
         BSource::Packed(p) if a.rows.div_ceil(MC) < threads => {
-            gemm_cols_impl(alpha, a, p, beta, c, threads, epi)
+            gemm_cols_impl(alpha, a, p, beta, c, threads)
         }
-        _ => gemm_shared_impl(alpha, a, b, beta, c, threads, epi),
+        _ => gemm_shared_impl(alpha, a, b, beta, c, threads),
     }
 }
 
-/// Columns per unit of the column-split engine: whole `NR` panels at every
-/// precision, and the epilogue's segment width, so a unit's epilogue sweeps
-/// exactly the segments the row-split engines sweep. `NC` is a multiple of
-/// it, so no unit straddles two column blocks.
-const COL_UNIT: usize = vmath::BLOCK;
+/// Columns per unit of the column-split engine: a multiple of every `NR`
+/// (16 at f32, 8 at f64), so a unit starts on a panel boundary and holds
+/// whole panels, and a divisor of `NC`, so no unit straddles two column
+/// blocks.
+const COL_UNIT: usize = 64;
 
 /// The column-split engine, for products against a pre-packed B whose few
 /// rows leave threads idle under the row split (a served micro-batch of a
@@ -805,21 +584,17 @@ const COL_UNIT: usize = vmath::BLOCK;
 ///
 /// Each entry sees the same beta pass, the same A panels, the same slabs in
 /// the same order and the same tile write-back as in the row-split
-/// engines, and the epilogue the same segments, so the result is bitwise
-/// theirs; only which thread streams which panels of B changes.
-fn gemm_cols_impl<S: Scalar, E: Epilogue<S>>(
+/// engines, so the result is bitwise theirs; only which thread streams
+/// which panels of B changes.
+fn gemm_cols_impl<S: Scalar>(
     alpha: S,
     a: View<'_, S>,
     b: &PackedB<S>,
     beta: S,
     c: &mut [S],
     threads: usize,
-    epi: Option<&E>,
 ) {
     let Some((m, k, n)) = packed_preamble(&a, &BSource::Packed(b), alpha, beta, c) else {
-        if let Some(epi) = epi {
-            epilogue_sweep(c, b.cols(), epi);
-        }
         return;
     };
     scale_stripe(c, beta);
@@ -849,7 +624,6 @@ fn gemm_cols_impl<S: Scalar, E: Epilogue<S>>(
                     let (lo, hi) = (c0.max(jc), cols.end.min(jc + nc));
                     for pc in (0..k).step_by(KC) {
                         let kc = KC.min(k - pc);
-                        let fuse = if pc + KC >= k { epi } else { None };
                         let panels = b.block(jc, pc);
                         for ic in (0..m).step_by(MC) {
                             let mc = MC.min(m - ic);
@@ -872,10 +646,6 @@ fn gemm_cols_impl<S: Scalar, E: Epilogue<S>>(
                                     );
                                 }
                             }
-                            if let Some(epi) = fuse {
-                                let rows = &mut part[ic * w..];
-                                epilogue_block_at(rows, w, ic, mc, lo - c0, lo, hi - lo, epi);
-                            }
                         }
                     }
                 }
@@ -889,20 +659,6 @@ fn gemm_cols_impl<S: Scalar, E: Epilogue<S>>(
                 c[i * n + c0..][..w].copy_from_slice(row);
             }
         }
-    });
-}
-
-/// Degenerate-product epilogue pass (`k == 0` or `alpha == 0`, where
-/// [`packed_preamble`] already reduced `C` to its beta-scaled prior): the
-/// fused contract still owes the epilogue exactly one visit per entry, with
-/// the stored value widened back to compute width (`from_compute` of which
-/// is the identity on it, so [`StoreEpilogue`] leaves `C` untouched).
-fn epilogue_sweep<S: Scalar, E: Epilogue<S>>(c: &mut [S], n: usize, epi: &E) {
-    if c.is_empty() || n == 0 {
-        return;
-    }
-    parallel::for_each_chunk_mut(c, n, |off, row| {
-        epilogue_block(row, n, off / n, 1, 0, n, epi);
     });
 }
 
@@ -939,23 +695,19 @@ pub fn gemm_packed_perthread<S: Scalar>(
     beta: S,
     c: &mut [S],
 ) {
-    gemm_perthread_impl::<S, StoreEpilogue>(alpha, a, BSource::View(b), beta, c, None);
+    gemm_perthread_impl(alpha, a, BSource::View(b), beta, c);
 }
 
-/// The per-thread engine body, shared by the plain and fused entry points
-/// (`epi == None` is the plain write-back on every slab).
-fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
+/// The per-thread engine body: [`gemm_packed_perthread`], and the budget-1
+/// dispatch of [`gemm_packed`] and [`gemm_prepacked`].
+fn gemm_perthread_impl<S: Scalar>(
     alpha: S,
     a: View<'_, S>,
     b: BSource<'_, S>,
     beta: S,
     c: &mut [S],
-    epi: Option<&E>,
 ) {
     let Some((m, _, n)) = packed_preamble(&a, &b, alpha, beta, c) else {
-        if let Some(epi) = epi {
-            epilogue_sweep(c, b.cols(), epi);
-        }
         return;
     };
     // The beta pass runs inside each stripe so C is touched exactly once
@@ -969,7 +721,7 @@ fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
         let r0 = off / n;
         let rows = stripe.len() / n;
         scale_stripe(stripe, beta);
-        gemm_stripe(alpha, &a, b, stripe, r0, rows, n, epi);
+        gemm_stripe(alpha, &a, b, stripe, r0, rows, n);
     });
 }
 
@@ -982,23 +734,15 @@ fn gemm_perthread_impl<S: Scalar, E: Epilogue<S>>(
 /// the slab, and no worker overwrites it for the next `pc` before every
 /// reader of the current one has joined. A pre-packed B skips phase 1: the
 /// workers read its blocks directly.
-///
-/// Shared by the plain and fused entry points (`epi == None` is the plain
-/// write-back on every slab; `Some` fires it on each entry's final `pc`
-/// slab, from whichever worker owns that row stripe).
-fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
+fn gemm_shared_impl<S: Scalar>(
     alpha: S,
     a: View<'_, S>,
     b: BSource<'_, S>,
     beta: S,
     c: &mut [S],
     threads: usize,
-    epi: Option<&E>,
 ) {
     let Some((m, k, n)) = packed_preamble(&a, &b, alpha, beta, c) else {
-        if let Some(epi) = epi {
-            epilogue_sweep(c, b.cols(), epi);
-        }
         return;
     };
     let nr = S::NR;
@@ -1011,7 +755,6 @@ fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                let fuse = if pc + KC >= k { epi } else { None };
                 let panels: &[S::Compute] = match b {
                     BSource::View(v) => {
                         // Phase 1: cooperative pack. Each pool chunk fills
@@ -1035,7 +778,7 @@ fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
                 parallel::for_each_chunk_mut(c, MC * n, |off, stripe| {
                     let r0 = off / n;
                     let rows = stripe.len() / n;
-                    gemm_block_rows(alpha, &a, stripe, r0, rows, n, pc, kc, jc, nc, panels, fuse);
+                    gemm_block_rows(alpha, &a, stripe, r0, rows, n, pc, kc, jc, nc, panels);
                 });
             }
         }
@@ -1047,7 +790,7 @@ fn gemm_shared_impl<S: Scalar, E: Epilogue<S>>(
 /// row `r0`, packing the stripe's A block into this thread's arena and
 /// reading the B panels from the shared slab.
 #[allow(clippy::too_many_arguments)] // mirrors the engine's loop variables 1:1
-fn gemm_block_rows<S: Scalar, E: Epilogue<S>>(
+fn gemm_block_rows<S: Scalar>(
     alpha: S,
     a: &View<'_, S>,
     c: &mut [S],
@@ -1059,7 +802,6 @@ fn gemm_block_rows<S: Scalar, E: Epilogue<S>>(
     jc: usize,
     nc: usize,
     bp: &[S::Compute],
-    fuse: Option<&E>,
 ) {
     let (mr, nr) = (S::MR, S::NR);
     let ap_len = MC.div_ceil(mr) * mr * KC;
@@ -1085,9 +827,6 @@ fn gemm_block_rows<S: Scalar, E: Epilogue<S>>(
                         nr_here,
                     );
                 }
-            }
-            if let Some(epi) = fuse {
-                epilogue_block(&mut c[ic * ldc..], ldc, r0 + ic, mc, jc, nc, epi);
             }
         }
     });
@@ -1163,53 +902,6 @@ mod tests {
         let reference = naive(m, k, n, &a_log, &b64);
         for (&got, &expect) in c.iter().zip(&reference) {
             assert!((got as f64 - expect).abs() < 1e-4);
-        }
-    }
-
-    /// `StoreEpilogue` through the fused entry points must degenerate to
-    /// the plain GEMM **bit for bit** — the write-back rounding chains
-    /// (interior, edge-scratch, small-path) are replicated exactly, for
-    /// every precision, on shapes crossing every block boundary.
-    fn store_epilogue_matches_plain<S: Scalar>(m: usize, k: usize, n: usize) {
-        let a: Vec<S> = fill(m * k, 11);
-        let b: Vec<S> = fill(k * n, 12);
-        let mut plain = vec![S::from_f64(0.25); m * n];
-        let mut fused = plain.clone();
-        gemm_auto(
-            S::from_f64(-2.0),
-            View::row_major(&a, m, k),
-            View::row_major(&b, k, n),
-            S::ONE,
-            &mut plain,
-        );
-        gemm_auto_epilogue(
-            S::from_f64(-2.0),
-            View::row_major(&a, m, k),
-            View::row_major(&b, k, n),
-            S::ONE,
-            &mut fused,
-            &StoreEpilogue,
-        );
-        for (i, (&p, &f)) in plain.iter().zip(&fused).enumerate() {
-            assert_eq!(
-                p.to_f64().to_bits(),
-                f.to_f64().to_bits(),
-                "entry {i} ({m}x{k}x{n}, {})",
-                S::NAME
-            );
-        }
-    }
-
-    #[test]
-    fn store_epilogue_matches_plain_gemm() {
-        for &(m, k, n) in &[
-            (5, 7, 9),                // small path, edge tiles
-            (MC + 3, KC + 5, NC + 7), // packed, every block boundary
-            (2 * MC, 2 * KC, NC),     // packed, exact multiples
-        ] {
-            store_epilogue_matches_plain::<f32>(m, k, n);
-            store_epilogue_matches_plain::<f64>(m, k, n);
-            store_epilogue_matches_plain::<crate::Bf16>(m, k, n);
         }
     }
 
@@ -1327,28 +1019,17 @@ mod tests {
         let b: Vec<S> = fill(k * n, 72);
         let av = View::row_major(&a, m, k);
         let packed = PackedB::pack(View::transposed(&b, n, k));
-        // A coordinate-dependent epilogue: a wrong global column, a skipped
-        // or a repeated visit changes the bits.
-        let bias = |i: usize, j: usize, acc: S::Compute| {
-            S::from_compute(acc + S::Compute::from_f64((i + 3 * j) as f64 * 1e-3))
-        };
-        let run = |threads: usize, fused: bool| {
+        let run = |threads: usize| {
             let mut c = vec![S::from_f64(0.5); m * n];
             ep2_runtime::with_budget(threads, || {
-                if fused {
-                    gemm_prepacked_epilogue(S::from_f64(-2.0), av, &packed, S::ZERO, &mut c, &bias)
-                } else {
-                    gemm_prepacked(S::from_f64(1.5), av, &packed, S::ONE, &mut c)
-                }
+                gemm_prepacked(S::from_f64(1.5), av, &packed, S::ONE, &mut c)
             });
             c
         };
-        for fused in [false, true] {
-            let want = run(1, fused);
-            for threads in [2, 3, 8] {
-                let what = format!("{m}x{k}x{n} fused={fused} at {threads} threads");
-                assert_bits_eq(&run(threads, fused), &want, &what);
-            }
+        let want = run(1);
+        for threads in [2, 3, 8] {
+            let what = format!("{m}x{k}x{n} at {threads} threads");
+            assert_bits_eq(&run(threads), &want, &what);
         }
     }
 
@@ -1369,62 +1050,6 @@ mod tests {
             column_split_matches_one_thread::<f64>(m, k, n);
             column_split_matches_one_thread::<crate::Bf16>(m, k, n);
         }
-    }
-
-    #[test]
-    fn closure_epilogue_sees_global_coords_once_each() {
-        // A bias epilogue (the serve-path shape): out[i,j] = acc + i + 2j.
-        // Visit counting would need interior mutability; instead check the
-        // coordinate-dependent result everywhere, which fails if any entry
-        // is skipped, double-applied, or handed wrong coordinates.
-        let (m, k, n) = (MC + 1, KC + 2, NC + 3);
-        let a: Vec<f64> = fill(m * k, 21);
-        let b: Vec<f64> = fill(k * n, 22);
-        let mut plain = vec![0.0; m * n];
-        gemm_packed(
-            1.0,
-            View::row_major(&a, m, k),
-            View::row_major(&b, k, n),
-            0.0,
-            &mut plain,
-        );
-        let mut fused = vec![0.0; m * n];
-        let bias = |i: usize, j: usize, acc: f64| acc + i as f64 + 2.0 * j as f64;
-        gemm_packed_epilogue(
-            1.0,
-            View::row_major(&a, m, k),
-            View::row_major(&b, k, n),
-            0.0,
-            &mut fused,
-            &bias,
-        );
-        for i in 0..m {
-            for j in 0..n {
-                let expect = plain[i * n + j] + i as f64 + 2.0 * j as f64;
-                assert_eq!(fused[i * n + j], expect, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_products_still_run_epilogue() {
-        // alpha == 0 short-circuits the block loops; the epilogue must
-        // still see every entry (beta-scaled prior C at compute width).
-        let a: Vec<f64> = fill(4, 31);
-        let b: Vec<f64> = fill(6, 32);
-        let mut c = vec![2.0; 6];
-        let negate = |_i: usize, _j: usize, acc: f64| -acc;
-        // Big-shape dispatch is unreachable with alpha == 0 product sizes
-        // here, so call the packed entry directly.
-        gemm_packed_epilogue(
-            0.0,
-            View::row_major(&a, 2, 2),
-            View::row_major(&b, 2, 3),
-            0.5,
-            &mut c,
-            &negate,
-        );
-        assert!(c.iter().all(|&v| v == -1.0), "{c:?}");
     }
 
     #[test]

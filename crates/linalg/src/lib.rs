@@ -18,9 +18,8 @@
 //! - [`eigen`]: a dense symmetric eigensolver (Householder tridiagonalisation
 //!   followed by implicit-shift QL), the workhorse for Nyström subsample
 //!   eigensystems — always solved in `f64` internally.
-//! - [`lanczos`] and [`subspace`]: iterative top-`q` eigensolvers for large
-//!   symmetric operators (Lanczos with full reorthogonalisation, and
-//!   randomized subspace iteration).
+//! - [`subspace`]: an iterative top-`q` eigensolver for large symmetric
+//!   operators (randomized subspace iteration).
 //! - [`cholesky`]: Cholesky factorisation and triangular solves (used by the
 //!   FALKON baseline and the exact interpolation solver).
 //! - [`pca`]: principal component analysis (the paper reduces ImageNet
@@ -54,7 +53,6 @@ pub mod blas;
 pub mod cholesky;
 pub mod eigen;
 pub mod gemm;
-pub mod lanczos;
 pub mod ops;
 pub mod parallel;
 pub mod pca;
@@ -69,7 +67,7 @@ pub use scalar::{cast_slice, Bf16, Scalar};
 /// A symmetric linear operator `y = A x` on `R^n` over scalars `S`
 /// (default `f64`, so existing `dyn SymOp` bounds keep their meaning).
 ///
-/// Iterative eigensolvers ([`lanczos`], [`subspace`]) only touch the operator
+/// The iterative eigensolver ([`subspace`]) only touches the operator
 /// through matrix–vector products, so large kernel matrices never need to be
 /// materialised.
 pub trait SymOp<S: Scalar = f64> {

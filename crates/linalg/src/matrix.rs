@@ -323,24 +323,6 @@ impl<S: Scalar> Matrix<S> {
         }
     }
 
-    /// Copies the strictly-lower triangle onto the strictly-upper one:
-    /// `A[i][j] <- A[j][i]` for `j > i`. The symmetry pass for producers
-    /// that only materialise the lower triangle (the fused lower-only
-    /// kernel-matrix assembly) — an exact copy, where [`Self::symmetrize`]
-    /// is an average.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn mirror_lower(&mut self) {
-        assert!(self.is_square(), "mirror_lower requires a square matrix");
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                self[(i, j)] = self[(j, i)];
-            }
-        }
-    }
-
     /// Maximum asymmetry `max |a_ij - a_ji|`; 0 for a symmetric matrix.
     ///
     /// # Panics

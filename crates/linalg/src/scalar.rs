@@ -14,7 +14,7 @@
 //!
 //! - [`Scalar::Accum`], the **accumulator type** (`f64` for `f32`/`f64`,
 //!   `f32` for `Bf16`): reductions whose error feeds analytic decisions —
-//!   norms, Lanczos/QR reorthogonalisation coefficients, and the dense
+//!   norms, QR reorthogonalisation coefficients, and the dense
 //!   eigensolves behind the EigenPro preconditioner — are carried out in
 //!   `Accum` precision even when the bulk data is narrower. This mirrors
 //!   what well-behaved GPU kernel implementations do (narrow storage, FMA
@@ -133,26 +133,6 @@ pub trait Scalar:
         ldc: usize,
     );
 
-    /// The raw register tile behind [`Scalar::microkernel`]: computes the
-    /// packed-panel product `Ap · Bp` into `acc[i*NR + j]` at
-    /// [`Scalar::Compute`] width **without** scaling by `alpha` or touching
-    /// `C`. This is the write-back seam the fused-epilogue GEMM entry points
-    /// in [`crate::gemm`] use: the engine combines the tile with the prior
-    /// `C` value itself (replicating `microkernel`'s rounding chain bit for
-    /// bit) and hands each fully-accumulated entry to the epilogue while it
-    /// is still at compute width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panels are shorter than `k*MR` / `k*NR` or
-    /// `acc.len() < MR*NR`.
-    fn microkernel_acc(
-        k: usize,
-        a_panel: &[Self::Compute],
-        b_panel: &[Self::Compute],
-        acc: &mut [Self::Compute],
-    );
-
     /// Widens into the packed-GEMM compute type (lossless; identity for the
     /// native floats).
     fn compute(self) -> Self::Compute;
@@ -266,13 +246,6 @@ macro_rules! impl_scalar {
                     for j in 0..$nr {
                         c_row[j] += alpha * row[j];
                     }
-                }
-            }
-
-            fn microkernel_acc(k: usize, a_panel: &[Self], b_panel: &[Self], acc: &mut [Self]) {
-                let tile = microkernel_tile::<$t, $mr, $nr>(k, a_panel, b_panel);
-                for (row, dst) in tile.iter().zip(acc[..$mr * $nr].chunks_exact_mut($nr)) {
-                    dst.copy_from_slice(row);
                 }
             }
 
@@ -536,12 +509,6 @@ impl Scalar for Bf16 {
                 *cv = Bf16::from_f32(cv.to_f32() + alpha * r);
             }
         }
-    }
-
-    fn microkernel_acc(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]) {
-        // Same f32 register tile as `microkernel`; no bf16 rounding happens
-        // here — the fused write-back decides where (and whether) to narrow.
-        <f32 as Scalar>::microkernel_acc(k, a_panel, b_panel, acc);
     }
 
     #[inline]

@@ -1,10 +1,9 @@
 //! Lane-batched vectorized transcendentals for the radial-profile hot path.
 //!
-//! Kernel assembly fuses the radial profile `g(d²)` into the GEMM
-//! write-back, which leaves the transcendental tail — one `exp` per output
-//! entry — as the dominant cost once the memory pass is gone: the packed
-//! GEMM runs a full vector register wide while libm's `exp` runs one lane
-//! at a time behind a call. This module closes that gap with the same
+//! Kernel assembly is one GEMM followed by one pass of the radial profile
+//! `g(d²)` over its output, and that pass's cost is its transcendental
+//! tail — one `exp` per output entry: the packed GEMM runs a full vector
+//! register wide while libm's `exp` runs one lane at a time behind a call. This module closes that gap with the same
 //! trick the GEMM microkernels use: branch-free scalar kernels over
 //! fixed-width chunks that LLVM autovectorizes on stable Rust (no
 //! intrinsics), under the `-C target-cpu=native` build the workspace
@@ -52,8 +51,9 @@
 //!
 //! Setting `EP2_PRECISE_MATH=1` routes [`VMath::exp1`] and [`VMath::vexp`]
 //! to libm for A/B debugging of the polynomial path. The switch is read
-//! once per process and applies to fused and two-pass assembly alike, so
-//! the bit-for-bit `fused_parity` contract holds in either mode.
+//! once per process and reaches the batched and the per-entry profile
+//! alike, so the bit-for-bit `assembly_parity` contract holds in either
+//! mode.
 
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -11,13 +11,13 @@
 //! The CI precision matrix runs this suite once per precision leg; each
 //! leg exercises the compute width that precision actually runs profiles
 //! at (`f64` for the f64 leg, `f32` for the f32/mixed/bf16 legs), the
-//! same mapping the fused-parity suite uses.
+//! same mapping the assembly-parity suite uses.
 
 use ep2_linalg::vmath::{precise_math, VMath};
 
 /// Which compute width this CI leg exercises: honours `EP2_TEST_PRECISION`
-/// like the fused-parity suite (mixed and bf16 profiles run at f32 compute
-/// width); unset runs everything.
+/// like the assembly-parity suite (mixed and bf16 profiles run at f32
+/// compute width); unset runs everything.
 fn leg_selected(compute: &str) -> bool {
     match std::env::var("EP2_TEST_PRECISION") {
         Err(_) => true,
@@ -211,8 +211,9 @@ fn specials_propagate() {
 
 /// Batched `vexp` must be bitwise independent of slice segmentation —
 /// including remainder tails shorter than `LANES` — and must match the
-/// per-lane kernel exactly (which is what makes fused and two-pass
-/// assembly agree bit for bit regardless of row chunking).
+/// per-lane kernel exactly (which is what makes the assembly's batched
+/// profile pass agree bit for bit with the per-entry profile, however the
+/// pass chunks its output).
 fn tails_for<T: VMath + std::fmt::Debug>(values: impl Fn(usize) -> T) {
     let bits = |v: T| v.to_f64().to_bits();
     let max = 2 * T::LANES + 3;

@@ -269,7 +269,13 @@ impl<S: Scalar> ServeEngine<S> {
     /// ([`TaskScope::spawn_dedicated`](ep2_runtime::TaskScope::spawn_dedicated)):
     /// it waits for requests most of its life, and parked on a pool worker
     /// it would take the helper its own GEMMs fan out to.
+    ///
+    /// An engine can run any number of times, one run after another: each
+    /// run reopens the queue the previous one closed.
     pub fn run<R>(&self, sink: &(dyn Fn(&str, &[S]) + Sync), driver: impl FnOnce() -> R) -> R {
+        // Reopen before the workers spawn: a worker that finds the queue
+        // empty and closed returns at once.
+        self.lock_queue().closed = false;
         ep2_runtime::scope(|s| {
             for _ in 0..self.plan.workers {
                 s.spawn_dedicated(self.plan.worker_threads, || self.worker_loop(sink));

@@ -503,9 +503,9 @@ impl<S: Scalar> StreamEngine<S> {
             // Stage the tile's center slice (the d·n_tile ledger charge the
             // ring slot carries) and assemble through the packed GEMM path,
             // reusing the cached norms on both sides. `kernel_cross_into`
-            // applies the radial profile (and any bf16 narrowing) in the
-            // GEMM epilogue, so producers fill each tile in one sweep —
-            // no separate element pass over the block.
+            // runs the GEMM into the ring slot, then the radial profile
+            // (and any bf16 narrowing) over it in place, so the tile needs
+            // no buffer beyond its slot.
             let tile_centers = self.centers.submatrix(task.col0, 0, cols, d);
             kmat::kernel_cross_into(
                 self.kernel.as_ref(),

@@ -3,7 +3,7 @@
 //! virtual workers — no sleeps), admission shedding at over-budget load,
 //! bit-for-bit parity between served and offline predictions at every
 //! precision (whatever batch a row rides in), the packed panels' ledger
-//! charge, and worker-panic self-healing.
+//! charge, worker-panic self-healing, and repeated runs of one engine.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -510,6 +510,56 @@ fn over_budget_load_is_shed_with_busy() {
     // Every admitted request was still served on drain.
     assert_eq!(st.served + st.shed, 6);
     assert_eq!(*ok.lock().unwrap(), st.served);
+}
+
+/// Runs `engine` once with the driver submitting the rows of `x` one at a
+/// time, each after the previous reply, so every request arrives while the
+/// workers run. Returns the replies; a request unanswered after 10 s ends
+/// the run early.
+fn serve_closed_loop<S: Scalar>(
+    engine: &ServeEngine<S>,
+    x: &Matrix<S>,
+    tag: &str,
+) -> HashMap<String, Vec<S>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = Mutex::new(tx);
+    let sink = |id: &str, out: &[S]| {
+        let _ = tx.lock().unwrap().send((id.to_string(), out.to_vec()));
+    };
+    engine.run(&sink, || {
+        let mut replies = HashMap::new();
+        for i in 0..x.rows() {
+            engine
+                .submit(&format!("{tag}{i}"), x.row(i))
+                .expect("an empty queue admits");
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok((id, out)) => replies.insert(id, out),
+                Err(_) => break,
+            };
+        }
+        replies
+    })
+}
+
+#[test]
+fn one_engine_serves_two_runs() {
+    let _g = lock();
+    let model = test_model::<f64>(60, 4, 2);
+    let k = 6;
+    let x = Matrix::from_fn(k, 4, |i, j| ((i * 5 + j) % 7) as f64 * 0.17);
+    let engine = engine_with(model.clone(), &ServeConfig::default(), Precision::F64);
+    let offline = model.predict_with(&x, &engine.plan().opts);
+    for run in ["first", "second"] {
+        let replies = serve_closed_loop(&engine, &x, run);
+        assert_eq!(replies.len(), k, "{run} run left requests unanswered");
+        for i in 0..k {
+            let served = &replies[&format!("{run}{i}")];
+            for (s, o) in served.iter().zip(offline.row(i)) {
+                assert_eq!(s.to_bits(), o.to_bits(), "{run} run, row {i}");
+            }
+        }
+    }
+    assert_eq!(engine.stats().served, 2 * k as u64);
 }
 
 #[test]
