@@ -535,6 +535,87 @@ fn bench_streamed_bf16_tile(_c: &mut Criterion) {
     )]);
 }
 
+/// What a trained epoch costs over Algorithm 1's own work: an in-core f32
+/// `EigenPro2::fit` at the repository benchmark's `fit-incore` shape
+/// (timit-like, n = 4800 + 1200 validation rows, σ = 8, s = 800, 2 epochs)
+/// against one epoch of unpreconditioned `step` calls at the fit's `m` on
+/// the same data. The gap is what an epoch adds to the steps: the
+/// preconditioner correction and the end-of-epoch evaluation. Both sides
+/// take the better of two runs. Records a `fit_epoch` row in
+/// `BENCH_stream.json`.
+fn bench_fit_epoch(_c: &mut Criterion) {
+    use ep2_core::trainer::{EigenPro2, TrainConfig};
+    use ep2_device::{Precision, ResidencyMode};
+
+    let (n, n_val, s) = if criterion::smoke_mode() {
+        (600, 150, 100)
+    } else {
+        (4_800, 1_200, 800)
+    };
+    let (train, val) = catalog::timit_like(n + n_val, 0).split_at(n);
+    let config = TrainConfig {
+        kernel: KernelKind::Gaussian,
+        bandwidth: 8.0,
+        epochs: 2,
+        subsample_size: Some(s),
+        early_stopping: None,
+        precision: Precision::F32,
+        residency: Some(ResidencyMode::InCore),
+        ..TrainConfig::default()
+    };
+    // The fit whose median epoch is faster, so one host stall does not set
+    // the row.
+    let (epoch_s, report) = (0..2)
+        .map(|_| {
+            let report = EigenPro2::new(config.clone(), ResourceSpec::scaled_virtual_gpu())
+                .fit(&train, Some(&val))
+                .expect("fit-incore shape trains")
+                .report;
+            let mut deltas: Vec<f64> = report
+                .epochs
+                .iter()
+                .scan(0.0, |prev, e| {
+                    let d = e.wall_seconds - *prev;
+                    *prev = e.wall_seconds;
+                    Some(d)
+                })
+                .collect();
+            deltas.sort_by(f64::total_cmp);
+            let median = (deltas[(deltas.len() - 1) / 2] + deltas[deltas.len() / 2]) / 2.0;
+            (median, report)
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("two fits ran");
+
+    let m = report.params.m;
+    let (d, l) = (train.dim(), train.n_classes);
+    let kernel: Arc<dyn Kernel<f32>> = KernelKind::Gaussian.with_bandwidth_in::<f32>(8.0).into();
+    let targets: Matrix<f32> = train.targets.cast();
+    let model = KernelModel::zeros(kernel, train.features.cast(), l);
+    let mut it = EigenProIteration::new(model, None, 1.0);
+    let batches: Vec<Vec<usize>> = (0..n)
+        .step_by(m)
+        .map(|b0| (b0..(b0 + m).min(n)).collect())
+        .collect();
+    let steps_s = time_min(2, || {
+        for b in &batches {
+            it.step(b, &targets);
+        }
+    });
+    let ratio = epoch_s / steps_s;
+    println!(
+        "bench fit_epoch n={n} (+{n_val} val) d={d} l={l} s={s} m={m}: fit epoch \
+         {epoch_s:.3}s vs unpreconditioned steps {steps_s:.3}s ({ratio:.2}x)"
+    );
+    write_stream_json(&[format!(
+        "    {{\"op\": \"fit_epoch\", \"precision\": \"f32\", \"n\": {n}, \
+         \"n_val\": {n_val}, \"d\": {d}, \"l\": {l}, \"s\": {s}, \"m\": {m}, \
+         \"epochs\": {}, \"epoch_s\": {epoch_s:.4}, \"steps_s\": {steps_s:.4}, \
+         \"epoch_over_steps\": {ratio:.3}}}",
+        report.epochs.len()
+    )]);
+}
+
 /// The unified-runtime acceptance bench: the shared packed-B GEMM against
 /// the per-thread-packing baseline (`gemm_packed_perthread`) across a
 /// thread-budget sweep, writing `BENCH_pool.json`. The shared engine packs
@@ -1124,6 +1205,7 @@ criterion_group!(
     bench_epoch_time,
     bench_streamed_epoch,
     bench_streamed_bf16_tile,
+    bench_fit_epoch,
     bench_eigensolver,
     bench_training_iterations,
     bench_f32_kernel_row,

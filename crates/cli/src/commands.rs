@@ -553,11 +553,11 @@ fn inspect_model(parsed: &Parsed) -> Result<(), String> {
             if let Some(last) = s.history.last() {
                 match last.val_error {
                     Some(ve) => println!(
-                        "           last epoch: train mse {:.3e}, test error {:.2}%",
-                        last.train_mse,
+                        "           last epoch: probe mse {:.3e}, test error {:.2}%",
+                        last.probe_mse,
                         ve * 100.0
                     ),
-                    None => println!("           last epoch: train mse {:.3e}", last.train_mse),
+                    None => println!("           last epoch: probe mse {:.3e}", last.probe_mse),
                 }
             }
         }
@@ -660,20 +660,25 @@ fn train(parsed: &Parsed) -> Result<(), String> {
     for e in &outcome.report.epochs {
         match e.val_error {
             Some(ve) => println!(
-                "epoch {:>3}  train mse {:.3e}  test error {:>6.2}%  (sim {:.1} ms)",
+                "epoch {:>3}  probe mse {:.3e}  test error {:>6.2}%  (sim {:.1} ms)",
                 e.epoch,
-                e.train_mse,
+                e.probe_mse,
                 ve * 100.0,
                 e.simulated_seconds * 1e3
             ),
             None => println!(
-                "epoch {:>3}  train mse {:.3e}  (sim {:.1} ms)",
+                "epoch {:>3}  probe mse {:.3e}  (sim {:.1} ms)",
                 e.epoch,
-                e.train_mse,
+                e.probe_mse,
                 e.simulated_seconds * 1e3
             ),
         }
     }
+    println!(
+        "train mse (all {} rows) {:.3e}",
+        train_set.len(),
+        outcome.report.final_train_mse
+    );
     println!(
         "done: {:?} | {} iterations | sim {:.1} ms | wall {:.2} s | precond overhead {:.2}%",
         outcome.report.stop_reason,

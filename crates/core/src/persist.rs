@@ -118,7 +118,9 @@ pub struct TrainerState {
     pub best_val: f64,
     /// Epochs since `best_val` improved.
     pub since_best: u64,
-    /// Best (lowest) training MSE seen, for the divergence safeguard.
+    /// Lowest [`EpochStats::probe_mse`] over the healthy epochs so far
+    /// (finite and within the catastrophic bound), the divergence
+    /// safeguard's reference; `INFINITY` before the first healthy epoch.
     pub prev_mse: f64,
     /// Accumulated SGD operations.
     pub sgd_ops: f64,
@@ -179,7 +181,10 @@ fn put_state(buf: &mut BytesMut, s: &TrainerState) {
     buf.put_u64_le(s.history.len() as u64);
     for e in &s.history {
         buf.put_u64_le(e.epoch as u64);
-        buf.put_f64_le(e.train_mse);
+        // The epoch's train-side MSE: its probe MSE. v2 files written
+        // before the probe hold the all-rows training MSE in this slot, at
+        // the same place and width, so they still load.
+        buf.put_f64_le(e.probe_mse);
         buf.put_u8(u8::from(e.val_error.is_some()));
         buf.put_f64_le(e.val_error.unwrap_or(0.0));
         buf.put_f64_le(e.simulated_seconds);
@@ -224,14 +229,14 @@ fn get_state(data: &mut &[u8]) -> Result<TrainerState, CoreError> {
     let mut history = Vec::with_capacity(n_history);
     for _ in 0..n_history {
         let epoch = data.get_u64_le() as usize;
-        let train_mse = data.get_f64_le();
+        let probe_mse = data.get_f64_le();
         let has_val = data.get_u8() != 0;
         let val = data.get_f64_le();
         let simulated_seconds = data.get_f64_le();
         let wall_seconds = data.get_f64_le();
         history.push(EpochStats {
             epoch,
-            train_mse,
+            probe_mse,
             val_error: has_val.then_some(val),
             simulated_seconds,
             wall_seconds,
@@ -831,14 +836,14 @@ mod tests {
             history: vec![
                 EpochStats {
                     epoch: 1,
-                    train_mse: 0.2,
+                    probe_mse: 0.2,
                     val_error: Some(0.3),
                     simulated_seconds: 0.4,
                     wall_seconds: 0.01,
                 },
                 EpochStats {
                     epoch: 2,
-                    train_mse: 0.05,
+                    probe_mse: 0.05,
                     val_error: None,
                     simulated_seconds: 0.8,
                     wall_seconds: 0.02,

@@ -80,6 +80,12 @@ use crate::CoreError;
 /// the quantisation-noise share of the spectrum.
 pub const BF16_LAMBDA_MARGIN: f64 = 4.0 / 256.0;
 
+/// Probe MSE above which an epoch is catastrophic: far beyond the one-hot
+/// target scale (the zero model's MSE is `1/l` there). Such an epoch always
+/// counts as diverged, never checkpoints, and never becomes the divergence
+/// safeguard's reference.
+const CATASTROPHIC_MSE: f64 = 100.0;
+
 /// Early-stopping policy (the interpolation framework's regulariser —
 /// Yao–Rosasco–Caponnetto 2007, as adopted by the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,8 +127,12 @@ pub struct TrainConfig {
     pub step_size: Option<f64>,
     /// Early stopping on validation error; `None` disables it.
     pub early_stopping: Option<EarlyStopping>,
-    /// Stop once training MSE falls below this value (the Figure-2
-    /// convergence criterion); `None` disables it.
+    /// Stop once an epoch's [`EpochStats::probe_mse`] falls to this value
+    /// or below (the Figure-2 convergence criterion, judged on the run's
+    /// fixed probe of `min(n, s)` training rows); `None` disables it. The
+    /// report's [`TrainReport::final_train_mse`] is the exact all-rows
+    /// figure of the returned weights, so it can land on either side of
+    /// the target.
     pub target_train_mse: Option<f64>,
     /// Stop once validation classification error falls to this value or
     /// below (the Table-3 "match the SVM's accuracy" protocol); `None`
@@ -211,14 +221,25 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch statistics.
+///
+/// An epoch predicts two row sets with its end-of-epoch weights: a fixed
+/// probe of `min(n, s)` training rows (`s` = [`AutoParams::s`]), drawn
+/// once per run, and every validation row. It does not re-predict the
+/// whole training set, which would cost a second `n × n` kernel assembly
+/// per epoch on top of Algorithm 1's own; the exact all-rows training MSE
+/// is computed once per run, as [`TrainReport::final_train_mse`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Epoch index (1-based).
     pub epoch: usize,
-    /// Training MSE at epoch end (always accumulated in f64).
-    pub train_mse: f64,
-    /// Validation classification error at epoch end (when a validation set
-    /// was supplied).
+    /// Exact MSE of the end-of-epoch weights on the run's probe rows
+    /// (accumulated in f64) — an unbiased estimate of the training MSE,
+    /// not the all-rows figure. It drives the divergence safeguard, the
+    /// checkpoint health gate and [`TrainConfig::target_train_mse`].
+    pub probe_mse: f64,
+    /// Validation classification error (MSE for
+    /// [`EigenPro2::fit_regression`]) at epoch end, over every validation
+    /// row (when a validation set was supplied).
     pub val_error: Option<f64>,
     /// Simulated device seconds elapsed since training started.
     pub simulated_seconds: f64,
@@ -233,7 +254,9 @@ pub struct TrainReport {
     pub params: AutoParams,
     /// Per-epoch statistics.
     pub epochs: Vec<EpochStats>,
-    /// Final training MSE.
+    /// Exact training MSE of the returned model over all `n` training rows
+    /// (after any final-epoch rollback or restart), computed once after the
+    /// epoch loop in the training precision.
     pub final_train_mse: f64,
     /// Final validation classification error.
     pub final_val_error: Option<f64>,
@@ -284,7 +307,8 @@ pub enum StopReason {
     EpochsExhausted,
     /// Validation error stopped improving.
     EarlyStopped,
-    /// The training-MSE target was reached.
+    /// The probe-MSE target ([`TrainConfig::target_train_mse`]) or the
+    /// validation-error target was reached.
     TargetReached,
 }
 
@@ -781,11 +805,23 @@ impl EigenPro2 {
             }
         }
 
-        // Streamed runs evaluate epoch metrics through the column-tiled
-        // prediction path so the transient kernel panel stays within one
-        // ring slot (`m x n_tile`) — the in-core `block x n` panel would
-        // break the very budget streaming exists to respect.
-        let eval_tile = stream_plan.as_ref().map(|sp| (m.max(1), sp.n_tile));
+        // Streamed runs evaluate through the column-tiled prediction path
+        // so the transient kernel panel stays within one ring slot
+        // (`m x n_tile`) — the in-core `block x n` panel would break the
+        // very budget streaming exists to respect.
+        let eval_opts = match &stream_plan {
+            Some(sp) => PredictOptions::new()
+                .block_rows(m.max(1))
+                .col_tile(sp.n_tile),
+            None => PredictOptions::default(),
+        };
+        // The train-side rows every epoch is judged on: a fixed probe of
+        // `min(n, s)` rows, gathered once (uncharged, like the validation
+        // features). Epochs are 1-based, so the epoch-0 seed shuffles no
+        // batch, and a resumed run draws the same rows.
+        let probe = probe_rows(n, params.s, cfg.seed);
+        let probe_x = iter.model().centers().select_rows(&probe);
+        let probe_y = targets.select_rows(&probe);
 
         'outer: for epoch in start_epoch..=cfg.epochs {
             // Each epoch derives its shuffle from (seed, epoch) alone — not
@@ -813,26 +849,29 @@ impl EigenPro2 {
             let stats = epoch_stats(
                 epoch,
                 &iter,
-                targets,
+                (&probe_x, &probe_y),
                 val_s.as_ref().map(|(f, v)| (f.as_ref(), *v)),
-                eval_tile,
+                &eval_opts,
                 &clock,
                 start,
             );
+            // "Healthy" is the bar for a state worth keeping.
+            let healthy = stats.probe_mse.is_finite() && stats.probe_mse <= CATASTROPHIC_MSE;
             // Divergence safeguard: the analytic η relies on estimated
-            // spectra; if the training MSE regresses, the estimate was on
-            // the unstable side — halve the step and continue. At paper
-            // scale (s = 1.2e4) this never fires; it protects small-s runs.
-            // A catastrophic blow-up (MSE far beyond the one-hot target
-            // scale) additionally rolls the weights back to the last
-            // healthy snapshot (falling back to a zero restart when none
-            // exists yet), since exponentially overgrown weights cannot be
+            // spectra; if the probe MSE regresses past the best healthy
+            // epoch's, the estimate was on the unstable side — halve the
+            // step and continue. At paper scale (s = 1.2e4) this never
+            // fires; it protects small-s runs. An unhealthy epoch always
+            // counts as diverged, the first epoch and a NaN included, and
+            // additionally rolls the weights back to the last healthy
+            // snapshot (falling back to a zero restart when none exists
+            // yet), since exponentially overgrown weights cannot be
             // contracted back within any reasonable epoch budget.
-            let diverged = stats.train_mse > prev_mse * 1.2;
+            let diverged = !healthy || stats.probe_mse > prev_mse * 1.2;
             if diverged && eta_backoffs < 16 {
                 iter.set_eta(iter.eta() * 0.5);
                 eta_backoffs += 1;
-                if !stats.train_mse.is_finite() || stats.train_mse > 100.0 {
+                if !healthy {
                     match &last_good {
                         Some(weights) => {
                             iter.model_mut()
@@ -845,16 +884,17 @@ impl EigenPro2 {
                     }
                 }
             }
-            // "Healthy" is the bar for a state worth resuming from: finite
-            // and within the catastrophic-blow-up bound. A mild regression
-            // (the 1.2x divergence test above) still checkpoints — the
-            // halved η is part of the recorded state, so resuming from it
-            // continues the corrected trajectory.
-            let healthy = stats.train_mse.is_finite() && stats.train_mse <= 100.0;
-            prev_mse = stats.train_mse.min(prev_mse);
+            // Only healthy epochs move the safeguard's reference: a blown-up
+            // figure below an earlier blown-up one is no baseline. A mild
+            // regression (the 1.2x test above) is healthy and still
+            // checkpoints — the halved η is part of the recorded state, so
+            // resuming from it continues the corrected trajectory.
+            if healthy {
+                prev_mse = stats.probe_mse.min(prev_mse);
+            }
             let reached_target = cfg
                 .target_train_mse
-                .map(|t| stats.train_mse <= t)
+                .map(|t| stats.probe_mse <= t)
                 .unwrap_or(false)
                 || matches!(
                     (cfg.target_val_error, stats.val_error),
@@ -942,10 +982,15 @@ impl EigenPro2 {
         let budget_slots = ledger.budget();
         debug_assert!(peak_slots <= budget_slots, "ledger over-ran S_G");
 
+        // The run's one all-rows training predict: the exact MSE of the
+        // weights it returns, timed inside `wall_seconds`.
+        let model = iter.model();
+        let final_train_mse =
+            metrics::mse(&model.predict_with(model.centers(), &eval_opts), targets);
         let last = *epochs_out.last().expect("at least one epoch ran");
         let report = TrainReport {
             params,
-            final_train_mse: last.train_mse,
+            final_train_mse,
             final_val_error: last.val_error,
             simulated_seconds: clock.elapsed(),
             wall_seconds: start.elapsed().as_secs_f64(),
@@ -1218,26 +1263,29 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+/// The run's probe: `min(n, s)` training rows drawn by a shuffle of `0..n`
+/// under the epoch-0 seed, sorted so the one gather reads forward.
+fn probe_rows(n: usize, s: usize, seed: u64) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..n).collect();
+    rows.shuffle(&mut StdRng::seed_from_u64(epoch_seed(seed, 0)));
+    rows.truncate(s.min(n));
+    rows.sort_unstable();
+    rows
+}
+
+/// Judges the end-of-epoch weights: the exact MSE on the run's probe rows
+/// `(features, targets)` and the validation metric on every validation row.
 fn epoch_stats<S: Scalar>(
     epoch: usize,
     iter: &EigenProIteration<S>,
-    targets: &Matrix,
+    (probe_x, probe_y): (&Matrix<S>, &Matrix),
     val: Option<(&Matrix<S>, &ValMetric)>,
-    eval_tile: Option<(usize, usize)>,
+    opts: &PredictOptions,
     clock: &SimClock,
     start: Instant,
 ) -> EpochStats {
-    // `eval_tile = (block_rows, col_tile)` routes evaluation through the
-    // column-tiled prediction so streamed runs honour their memory budget.
-    let predict = |x: &Matrix<S>| {
-        let opts = match eval_tile {
-            Some((rows, cols)) => PredictOptions::new().block_rows(rows).col_tile(cols),
-            None => PredictOptions::default(),
-        };
-        iter.model().predict_with(x, &opts)
-    };
-    let train_pred = predict(iter.model().centers());
-    let train_mse = metrics::mse(&train_pred, targets);
+    let predict = |x: &Matrix<S>| iter.model().predict_with(x, opts);
+    let probe_mse = metrics::mse(&predict(probe_x), probe_y);
     let val_error = val.map(|(features_s, metric)| {
         let pred = predict(features_s);
         match metric {
@@ -1249,7 +1297,7 @@ fn epoch_stats<S: Scalar>(
     });
     EpochStats {
         epoch,
-        train_mse,
+        probe_mse,
         val_error,
         simulated_seconds: clock.elapsed(),
         wall_seconds: start.elapsed().as_secs_f64(),
@@ -1296,8 +1344,8 @@ mod tests {
         let out = trainer.fit(&train, Some(&test)).unwrap();
         let err = out.report.final_val_error.unwrap();
         assert!(err < 0.12, "test error {err}");
-        // Train MSE decreases monotonically (allow tiny noise).
-        let mses: Vec<f64> = out.report.epochs.iter().map(|e| e.train_mse).collect();
+        // Probe MSE decreases monotonically (allow tiny noise).
+        let mses: Vec<f64> = out.report.epochs.iter().map(|e| e.probe_mse).collect();
         assert!(mses.last().unwrap() < &mses[0]);
         assert_eq!(out.report.precision, Precision::F64);
     }
@@ -1434,11 +1482,81 @@ mod tests {
             out.report.final_train_mse.is_finite(),
             "training must recover, not blow up"
         );
-        let first = out.report.epochs.first().unwrap().train_mse;
+        let first = out.report.epochs.first().unwrap().probe_mse;
         let last = out.report.final_train_mse;
         assert!(
             last < first,
             "mse should improve after backoff: {first} -> {last}"
+        );
+    }
+
+    /// The problem of `divergence_backoff_recovers_from_bad_step_size`:
+    /// η = 1e5 blows the weights up in the first epoch.
+    fn blow_up_run(epochs: usize) -> (Dataset, TrainOutcome) {
+        let (train, _) = catalog::mnist_like(300, 13).split_at(300);
+        let config = TrainConfig {
+            epochs,
+            step_size: Some(1e5),
+            ..quick_config()
+        };
+        let out = EigenPro2::new(config, ResourceSpec::scaled_virtual_gpu())
+            .fit(&train, None)
+            .unwrap();
+        (train, out)
+    }
+
+    #[test]
+    fn every_catastrophic_epoch_backs_off() {
+        // Epoch 1 is judged too: it backs off and, with no healthy
+        // snapshot yet, returns the zero model.
+        let (_, one) = blow_up_run(1);
+        assert_eq!(one.report.eta_backoffs, 1);
+        assert!(one.model.weights().as_slice().iter().all(|&w| w == 0.0));
+        // A blow-up below an earlier blow-up is no recovery: each
+        // catastrophic epoch backs off once.
+        let (_, six) = blow_up_run(6);
+        let catastrophic = six
+            .report
+            .epochs
+            .iter()
+            .filter(|e| !e.probe_mse.is_finite() || e.probe_mse > CATASTROPHIC_MSE)
+            .count();
+        assert!(catastrophic > 0);
+        assert_eq!(six.report.eta_backoffs as usize, catastrophic);
+    }
+
+    #[test]
+    fn final_train_mse_is_the_returned_models_exact_mse() {
+        let exact = |train: &Dataset, out: &TrainOutcome| {
+            metrics::mse(
+                &out.model
+                    .predict_with(&train.features, &PredictOptions::default()),
+                &train.targets,
+            )
+        };
+        let (train, _) = catalog::mnist_like(300, 7).split_at(300);
+        let healthy = EigenPro2::new(quick_config(), ResourceSpec::scaled_virtual_gpu())
+            .fit(&train, None)
+            .unwrap();
+        assert_eq!(healthy.report.eta_backoffs, 0);
+        assert_eq!(
+            healthy.report.final_train_mse.to_bits(),
+            exact(&train, &healthy).to_bits()
+        );
+        // A zero restart in the final epoch: the report describes the
+        // zero model returned, not the blown-up epoch before it.
+        let (train, restarted) = blow_up_run(6);
+        let last = restarted.report.epochs.last().unwrap();
+        assert!(last.probe_mse > CATASTROPHIC_MSE);
+        assert!(restarted
+            .model
+            .weights()
+            .as_slice()
+            .iter()
+            .all(|&w| w == 0.0));
+        assert_eq!(
+            restarted.report.final_train_mse.to_bits(),
+            exact(&train, &restarted).to_bits()
         );
     }
 

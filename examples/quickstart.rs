@@ -56,12 +56,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\ntraining:");
     for e in &outcome.report.epochs {
         println!(
-            "  epoch {:>2}: train mse {:.2e}, test error {:.2}%",
+            "  epoch {:>2}: probe mse {:.2e}, test error {:.2}%",
             e.epoch,
-            e.train_mse,
+            e.probe_mse,
             e.val_error.unwrap_or(f64::NAN) * 100.0
         );
     }
+    println!(
+        "  train mse (all {} rows) {:.2e}",
+        train.len(),
+        outcome.report.final_train_mse
+    );
     println!(
         "\nfinal test error: {:.2}%  (simulated GPU time {:.1} ms, wall {:.2} s, \
          preconditioner overhead {:.2}%)",

@@ -52,7 +52,7 @@ fn sample_state(history_len: usize) -> TrainerState {
         history: (1..=history_len)
             .map(|e| EpochStats {
                 epoch: e,
-                train_mse: 1.0 / e as f64,
+                probe_mse: 1.0 / e as f64,
                 val_error: if e % 2 == 0 {
                     Some(0.25 / e as f64)
                 } else {

@@ -93,12 +93,17 @@ fn assert_bitwise_equal(a: &TrainOutcome, b: &TrainOutcome, what: &str) {
     );
     for (ea, eb) in a.report.epochs.iter().zip(&b.report.epochs) {
         assert_eq!(
-            ea.train_mse.to_bits(),
-            eb.train_mse.to_bits(),
-            "{what}: epoch {} train mse",
+            ea.probe_mse.to_bits(),
+            eb.probe_mse.to_bits(),
+            "{what}: epoch {} probe mse",
             ea.epoch
         );
     }
+    assert_eq!(
+        a.report.final_train_mse.to_bits(),
+        b.report.final_train_mse.to_bits(),
+        "{what}: final train mse"
+    );
 }
 
 fn parity_for(precision: Precision, residency: Option<ResidencyMode>, tag: &str) {
@@ -135,7 +140,7 @@ fn parity_for(precision: Precision, residency: Option<ResidencyMode>, tag: &str)
     assert_eq!(resumed.report.resumed_from_epoch, Some(3));
     // The resumed half replays the partial run's prefix exactly...
     for (ea, eb) in part.report.epochs.iter().zip(&resumed.report.epochs) {
-        assert_eq!(ea.train_mse.to_bits(), eb.train_mse.to_bits());
+        assert_eq!(ea.probe_mse.to_bits(), eb.probe_mse.to_bits());
     }
     // ...and the whole trajectory equals the uninterrupted run bit for bit.
     assert_bitwise_equal(&full, &resumed, tag);

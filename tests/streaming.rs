@@ -187,7 +187,7 @@ fn dataset_4x_over_budget_trains_streamed_end_to_end() {
     // Training actually made progress: finite, and no divergence (small-m
     // SGD on noisy SUSY data may wobble a few percent between epochs; the
     // trainer's own safeguard allows up to 20% before it intervenes).
-    let first = out.report.epochs.first().unwrap().train_mse;
+    let first = out.report.epochs.first().unwrap().probe_mse;
     assert!(out.report.final_train_mse.is_finite());
     assert!(
         out.report.final_train_mse <= first * 1.2,
