@@ -80,6 +80,17 @@ pub struct SubsampleEigens<S: Scalar = f64> {
     pub vectors: Matrix<S>,
 }
 
+/// `min(n, s)` distinct rows of `0..n`, drawn by a seeded shuffle and
+/// sorted so a gather reads forward: the subsample rule, also used for the
+/// trainer's per-run probe.
+pub(crate) fn sample_rows(n: usize, s: usize, seed: u64) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..n).collect();
+    rows.shuffle(&mut StdRng::seed_from_u64(seed));
+    rows.truncate(s);
+    rows.sort_unstable();
+    rows
+}
+
 impl<S: Scalar> SubsampleEigens<S> {
     /// Subsamples `s` rows of `x` (without replacement, seeded) and
     /// computes the eigensystem of their kernel matrix.
@@ -105,11 +116,7 @@ impl<S: Scalar> SubsampleEigens<S> {
                 message: format!("subsample size s = {s} must be in 1..={n}"),
             });
         }
-        let mut indices: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        indices.shuffle(&mut rng);
-        indices.truncate(s);
-        indices.sort_unstable();
+        let indices = sample_rows(n, s, seed);
         let centers = x.select_rows(&indices);
         let ks = kmat::kernel_matrix(kernel.as_ref(), &centers);
         let (values, vectors) = if s <= DENSE_EIG_THRESHOLD {

@@ -57,6 +57,7 @@ use crate::counter::FlopCounter;
 use crate::iteration::EigenProIteration;
 use crate::model::{KernelModel, PredictOptions};
 use crate::persist::{self, TrainerState};
+use crate::precond;
 use crate::CoreError;
 
 /// Spectral margin added to the planned `λ₁(K_G)` when executing under
@@ -80,10 +81,12 @@ use crate::CoreError;
 /// the quantisation-noise share of the spectrum.
 pub const BF16_LAMBDA_MARGIN: f64 = 4.0 / 256.0;
 
-/// Probe MSE above which an epoch is catastrophic: far beyond the one-hot
-/// target scale (the zero model's MSE is `1/l` there). Such an epoch always
-/// counts as diverged, never checkpoints, and never becomes the divergence
-/// safeguard's reference.
+/// The catastrophe bound: an epoch whose probe MSE exceeds
+/// `max(CATASTROPHIC_MSE, CATASTROPHIC_MSE · mean(y²))`, with `mean(y²)`
+/// the zero model's MSE on the probe, is catastrophic. One-hot targets
+/// (`mean(y²) = 1/l ≤ 1`) keep the bound at 100; regression targets get
+/// one in their own scale. Such an epoch always counts as diverged, never
+/// checkpoints, and never becomes the divergence safeguard's reference.
 const CATASTROPHIC_MSE: f64 = 100.0;
 
 /// Early-stopping policy (the interpolation framework's regulariser —
@@ -127,11 +130,12 @@ pub struct TrainConfig {
     pub step_size: Option<f64>,
     /// Early stopping on validation error; `None` disables it.
     pub early_stopping: Option<EarlyStopping>,
-    /// Stop once an epoch's [`EpochStats::probe_mse`] falls to this value
-    /// or below (the Figure-2 convergence criterion, judged on the run's
-    /// fixed probe of `min(n, s)` training rows); `None` disables it. The
-    /// report's [`TrainReport::final_train_mse`] is the exact all-rows
-    /// figure of the returned weights, so it can land on either side of
+    /// Stop once the training MSE falls to this value or below (the
+    /// Figure-2 convergence criterion); `None` disables it. An epoch whose
+    /// [`EpochStats::probe_mse`] meets the target is a candidate, and the
+    /// run stops only once the exact MSE of its weights over every training
+    /// row meets it too (one all-rows predict per candidate), so a run that
+    /// stops here reports a [`TrainReport::final_train_mse`] at or below
     /// the target.
     pub target_train_mse: Option<f64>,
     /// Stop once validation classification error falls to this value or
@@ -174,8 +178,9 @@ pub struct TrainConfig {
     /// persist format (model + [`TrainerState`] + CRC32), written
     /// atomically so a crash mid-write can never corrupt the last good one.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint cadence in epochs (default 1 = every epoch). Only epochs
-    /// the divergence safeguard did not flag are checkpointed, so a resume
+    /// Checkpoint cadence in epochs (default 1 = every epoch). Only healthy
+    /// epochs are checkpointed (probe MSE finite and within the catastrophe
+    /// bound; a mild regression that only halved η still is), so a resume
     /// always starts from a healthy state.
     pub checkpoint_every: usize,
     /// Resume from the newest valid checkpoint in `checkpoint_dir` (corrupt
@@ -227,15 +232,18 @@ impl Default for TrainConfig {
 /// once per run, and every validation row. It does not re-predict the
 /// whole training set, which would cost a second `n × n` kernel assembly
 /// per epoch on top of Algorithm 1's own; the exact all-rows training MSE
-/// is computed once per run, as [`TrainReport::final_train_mse`].
+/// is [`TrainReport::final_train_mse`], predicted once per run (and once
+/// per candidate epoch of [`TrainConfig::target_train_mse`]). When
+/// `s ≥ n` the probe is every row and is its own all-rows figure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Epoch index (1-based).
     pub epoch: usize,
     /// Exact MSE of the end-of-epoch weights on the run's probe rows
     /// (accumulated in f64) — an unbiased estimate of the training MSE,
-    /// not the all-rows figure. It drives the divergence safeguard, the
-    /// checkpoint health gate and [`TrainConfig::target_train_mse`].
+    /// not the all-rows figure. It drives the divergence safeguard and the
+    /// checkpoint health gate, and nominates the candidate epochs of
+    /// [`TrainConfig::target_train_mse`].
     pub probe_mse: f64,
     /// Validation classification error (MSE for
     /// [`EigenPro2::fit_regression`]) at epoch end, over every validation
@@ -255,8 +263,10 @@ pub struct TrainReport {
     /// Per-epoch statistics.
     pub epochs: Vec<EpochStats>,
     /// Exact training MSE of the returned model over all `n` training rows
-    /// (after any final-epoch rollback or restart), computed once after the
-    /// epoch loop in the training precision.
+    /// (after any final-epoch rollback or restart), in the training
+    /// precision: the last epoch's own figure when that epoch computed it
+    /// (a probe of every row, or a confirmed target), else one predict
+    /// after the epoch loop.
     pub final_train_mse: f64,
     /// Final validation classification error.
     pub final_val_error: Option<f64>,
@@ -307,8 +317,9 @@ pub enum StopReason {
     EpochsExhausted,
     /// Validation error stopped improving.
     EarlyStopped,
-    /// The probe-MSE target ([`TrainConfig::target_train_mse`]) or the
-    /// validation-error target was reached.
+    /// The training-MSE target ([`TrainConfig::target_train_mse`],
+    /// confirmed on every training row) or the validation-error target was
+    /// reached.
     TargetReached,
 }
 
@@ -818,10 +829,34 @@ impl EigenPro2 {
         // The train-side rows every epoch is judged on: a fixed probe of
         // `min(n, s)` rows, gathered once (uncharged, like the validation
         // features). Epochs are 1-based, so the epoch-0 seed shuffles no
-        // batch, and a resumed run draws the same rows.
-        let probe = probe_rows(n, params.s, cfg.seed);
-        let probe_x = iter.model().centers().select_rows(&probe);
-        let probe_y = targets.select_rows(&probe);
+        // batch, and a resumed run draws the same rows. A probe of every
+        // row is the training set itself, shared rather than copied.
+        let probe_all = params.s >= n;
+        let (probe_x, probe_y) = if probe_all {
+            (iter.model().centers_shared(), Cow::Borrowed(targets))
+        } else {
+            let rows = precond::sample_rows(n, params.s, epoch_seed(cfg.seed, 0));
+            (
+                Arc::new(iter.model().centers().select_rows(&rows)),
+                Cow::Owned(targets.select_rows(&rows)),
+            )
+        };
+        // The catastrophe bound in the targets' own scale: 100x the zero
+        // model's probe MSE, and never below 100.
+        let zero_mse = metrics::mse(
+            &Matrix::<f64>::zeros(probe_y.rows(), probe_y.cols()),
+            &*probe_y,
+        );
+        let catastrophic_mse = CATASTROPHIC_MSE.max(CATASTROPHIC_MSE * zero_mse);
+        // The exact all-rows training MSE of the current weights, when the
+        // epoch already paid for it (the probe itself when it covers every
+        // row, or a target check); it becomes `final_train_mse` if the run
+        // stops there.
+        let mut exact_mse: Option<f64> = None;
+        let all_rows_mse = |iter: &EigenProIteration<S>| {
+            let model = iter.model();
+            metrics::mse(&model.predict_with(model.centers(), &eval_opts), targets)
+        };
 
         'outer: for epoch in start_epoch..=cfg.epochs {
             // Each epoch derives its shuffle from (seed, epoch) alone — not
@@ -856,7 +891,7 @@ impl EigenPro2 {
                 start,
             );
             // "Healthy" is the bar for a state worth keeping.
-            let healthy = stats.probe_mse.is_finite() && stats.probe_mse <= CATASTROPHIC_MSE;
+            let healthy = stats.probe_mse.is_finite() && stats.probe_mse <= catastrophic_mse;
             // Divergence safeguard: the analytic η relies on estimated
             // spectra; if the probe MSE regresses past the best healthy
             // epoch's, the estimate was on the unstable side — halve the
@@ -868,10 +903,15 @@ impl EigenPro2 {
             // yet), since exponentially overgrown weights cannot be
             // contracted back within any reasonable epoch budget.
             let diverged = !healthy || stats.probe_mse > prev_mse * 1.2;
-            if diverged && eta_backoffs < 16 {
+            let back_off = diverged && eta_backoffs < 16;
+            let restore = back_off && !healthy;
+            // Weights the safeguard leaves alone keep the probe's figure,
+            // which is their all-rows MSE when the probe is every row.
+            exact_mse = (probe_all && !restore).then_some(stats.probe_mse);
+            if back_off {
                 iter.set_eta(iter.eta() * 0.5);
                 eta_backoffs += 1;
-                if !healthy {
+                if restore {
                     match &last_good {
                         Some(weights) => {
                             iter.model_mut()
@@ -892,14 +932,16 @@ impl EigenPro2 {
             if healthy {
                 prev_mse = stats.probe_mse.min(prev_mse);
             }
-            let reached_target = cfg
-                .target_train_mse
-                .map(|t| stats.probe_mse <= t)
-                .unwrap_or(false)
-                || matches!(
-                    (cfg.target_val_error, stats.val_error),
-                    (Some(t), Some(ve)) if ve <= t
-                );
+            // The probe nominates a target epoch and every row confirms it,
+            // so the run stops on the all-rows training MSE, the Figure-2
+            // criterion the baselines stop on; a candidate that misses
+            // costs one all-rows predict.
+            let reached_target = matches!(
+                (cfg.target_val_error, stats.val_error),
+                (Some(t), Some(ve)) if ve <= t
+            ) || cfg.target_train_mse.is_some_and(|t| {
+                stats.probe_mse <= t && *exact_mse.get_or_insert_with(|| all_rows_mse(&iter)) <= t
+            });
             let mut stop = None;
             if let (Some(es), Some(ve)) = (cfg.early_stopping, stats.val_error) {
                 if ve < best_val - es.min_delta {
@@ -982,11 +1024,10 @@ impl EigenPro2 {
         let budget_slots = ledger.budget();
         debug_assert!(peak_slots <= budget_slots, "ledger over-ran S_G");
 
-        // The run's one all-rows training predict: the exact MSE of the
-        // weights it returns, timed inside `wall_seconds`.
-        let model = iter.model();
-        let final_train_mse =
-            metrics::mse(&model.predict_with(model.centers(), &eval_opts), targets);
+        // The exact all-rows MSE of the weights the run returns, timed
+        // inside `wall_seconds`: the last epoch's figure when it already
+        // has one, else the run's one all-rows training predict.
+        let final_train_mse = exact_mse.unwrap_or_else(|| all_rows_mse(&iter));
         let last = *epochs_out.last().expect("at least one epoch ran");
         let report = TrainReport {
             params,
@@ -1263,16 +1304,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// The run's probe: `min(n, s)` training rows drawn by a shuffle of `0..n`
-/// under the epoch-0 seed, sorted so the one gather reads forward.
-fn probe_rows(n: usize, s: usize, seed: u64) -> Vec<usize> {
-    let mut rows: Vec<usize> = (0..n).collect();
-    rows.shuffle(&mut StdRng::seed_from_u64(epoch_seed(seed, 0)));
-    rows.truncate(s.min(n));
-    rows.sort_unstable();
-    rows
-}
-
 /// Judges the end-of-epoch weights: the exact MSE on the run's probe rows
 /// `(features, targets)` and the validation metric on every validation row.
 fn epoch_stats<S: Scalar>(
@@ -1438,6 +1469,39 @@ mod tests {
     }
 
     #[test]
+    fn train_target_is_confirmed_on_every_row() {
+        // The probe only nominates an epoch for `target_train_mse`. Set the
+        // target at the first epoch whose probe MSE reads below its
+        // all-rows MSE: stopping on the probe alone would end the run above
+        // its target there.
+        let (train, _) = catalog::mnist_like(300, 7).split_at(300);
+        let fit = |epochs, target_train_mse| {
+            let config = TrainConfig {
+                epochs,
+                target_train_mse,
+                ..quick_config()
+            };
+            EigenPro2::new(config, ResourceSpec::scaled_virtual_gpu())
+                .fit(&train, None)
+                .unwrap()
+                .report
+        };
+        let probe: Vec<f64> = fit(8, None).epochs.iter().map(|e| e.probe_mse).collect();
+        let (epoch, target) = (1..=8)
+            .find_map(|e| {
+                let t = probe[e - 1];
+                let first = probe[..e - 1].iter().all(|&p| p > t);
+                (first && t < fit(e, None).final_train_mse).then_some((e, t))
+            })
+            .expect("some epoch's probe reads below its all-rows MSE");
+        let out = fit(8, Some(target));
+        assert!(out.epochs.len() > epoch);
+        if out.stop_reason == StopReason::TargetReached {
+            assert!(out.final_train_mse <= target);
+        }
+    }
+
+    #[test]
     fn overhead_is_small() {
         let data = catalog::mnist_like(600, 9);
         let (train, _) = data.split_at(600);
@@ -1543,6 +1607,26 @@ mod tests {
             healthy.report.final_train_mse.to_bits(),
             exact(&train, &healthy).to_bits()
         );
+        // With `s = n` the probe is every row, so the last epoch's probe
+        // MSE is the figure itself and no further predict runs.
+        let whole = EigenPro2::new(
+            TrainConfig {
+                subsample_size: Some(300),
+                ..quick_config()
+            },
+            ResourceSpec::scaled_virtual_gpu(),
+        )
+        .fit(&train, None)
+        .unwrap();
+        let last = whole.report.epochs.last().unwrap();
+        assert_eq!(
+            whole.report.final_train_mse.to_bits(),
+            last.probe_mse.to_bits()
+        );
+        assert_eq!(
+            whole.report.final_train_mse.to_bits(),
+            exact(&train, &whole).to_bits()
+        );
         // A zero restart in the final epoch: the report describes the
         // zero model returned, not the blown-up epoch before it.
         let (train, restarted) = blow_up_run(6);
@@ -1589,6 +1673,42 @@ mod tests {
         assert!(r2 > 0.9, "R² = {r2}");
         // Val metric (mse) was tracked.
         assert!(out.report.final_val_error.unwrap() < 0.1);
+    }
+
+    #[test]
+    fn regression_targets_at_any_scale_train_alike() {
+        // Kernel regression is linear in the targets: from zero weights,
+        // targets scaled by 100 train to weights scaled by 100, with no
+        // backoff at either scale. The catastrophe bound follows the
+        // targets' scale, so a large-scale epoch is not a blow-up.
+        use ep2_data::regression::{self, RegressionSpec};
+        let ds = regression::generate(&RegressionSpec {
+            noise: 0.02,
+            ..RegressionSpec::quick("smooth", 500, 12, 21)
+        });
+        let (train, _) = ds.split_at(400);
+        let mut scaled = train.clone();
+        scaled
+            .targets
+            .as_mut_slice()
+            .iter_mut()
+            .for_each(|y| *y *= 100.0);
+        let config = TrainConfig {
+            kernel: KernelKind::Gaussian,
+            bandwidth: 3.0,
+            epochs: 8,
+            subsample_size: Some(200),
+            early_stopping: None,
+            ..TrainConfig::default()
+        };
+        let trainer = EigenPro2::new(config, ResourceSpec::scaled_virtual_gpu());
+        let unit = trainer.fit_regression(&train, None).unwrap();
+        let big = trainer.fit_regression(&scaled, None).unwrap();
+        assert_eq!(unit.report.eta_backoffs, 0);
+        assert_eq!(big.report.eta_backoffs, 0);
+        assert!(big.report.final_train_mse > CATASTROPHIC_MSE);
+        let ratio = big.report.final_train_mse / unit.report.final_train_mse;
+        assert!((ratio / 1e4 - 1.0).abs() < 1e-6, "MSE ratio {ratio}");
     }
 
     #[test]
